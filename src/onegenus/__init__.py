@@ -17,7 +17,7 @@ from .forms import (
     one_class_per_genus,
     reduce_form,
 )
-from .sieve import BitTables, SieveConfig, SieveOutcome, run_sieve, witness_form
+from .sieve import SieveConfig, SieveOutcome, run_sieve, witness_form
 from .survivors import full_check, idoneal_scan
 from .analytic import AuxiliaryK, choose_k, fundamental_unit, verify_identity
 from .bounds import WaldschmidtParams, bound_report, theorem_threshold
@@ -26,7 +26,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AuxiliaryK",
-    "BitTables",
     "GenusReport",
     "QuadForm",
     "SieveConfig",

@@ -295,30 +295,34 @@ def l_values(
     return out
 
 
-def form_character_sum(d: int, k: int) -> Fraction:
-    """Exact sum of chi_k(a)/a over the reduced forms of discriminant d."""
+def form_character_sum(d: int, k: int, reduced: list[forms.QuadForm] | None = None) -> Fraction:
+    """Exact sum of chi_k(a)/a over the reduced forms of d (reduced, if given, lists them)."""
+    if reduced is None:
+        reduced = forms.enumerate_reduced(d)
     total = Fraction(0)
-    for f in forms.enumerate_reduced(d):
+    for f in reduced:
         chi = kronecker(k, f.a)
         if chi:
             total += Fraction(chi, f.a)
     return total
 
 
-def c_value(d: int, aux: AuxiliaryK):
+def c_value(d: int, aux: AuxiliaryK, char_sum: Fraction | None = None):
     """Integer C with sum_f chi(a)/a = C/d when every minimum divides d;
-    otherwise the exact rational sum itself."""
-    s = form_character_sum(d, aux.k)
+    otherwise the exact rational sum itself (char_sum, when already known)."""
+    s = form_character_sum(d, aux.k) if char_sum is None else char_sum
     c = s * d
     if c.denominator == 1:
         return int(c)
     return s
 
 
-def principal_term(d: int, aux: AuxiliaryK, dps: int = DEFAULT_DPS) -> tuple[mpf, Fraction]:
+def principal_term(
+    d: int, aux: AuxiliaryK, dps: int = DEFAULT_DPS, char_sum: Fraction | None = None
+) -> tuple[mpf, Fraction]:
     """(pi^2/6) * Q * sum_f chi(a)/a with Q = (q1^2-1)(q2^2-1)/(q1 q2)^2 exact."""
     q = Fraction((aux.q1**2 - 1) * (aux.q2**2 - 1), (aux.q1 * aux.q2) ** 2)
-    s = form_character_sum(d, aux.k) * q
+    s = (form_character_sum(d, aux.k) if char_sum is None else char_sum) * q
     with mp.workdps(dps):
         value = mp.pi**2 / 6 * mpf(s.numerator) / mpf(s.denominator)
     return value, q
@@ -344,17 +348,21 @@ def a0_sum(d: int, aux: AuxiliaryK | int, dps: int = DEFAULT_DPS) -> mpf:
         return -4 * mp.pi / (k * mp.sqrt(-d)) * chi_total * mp.log(p)
 
 
-def remainder_bound(d: int, aux: AuxiliaryK, dps: int = DEFAULT_DPS) -> mpf:
+def remainder_bound(
+    d: int, aux: AuxiliaryK, dps: int = DEFAULT_DPS, reduced: list[forms.QuadForm] | None = None
+) -> mpf:
     """Sum over forms of (4 pi / sqrt(|d|)) * 2x/(1-x)^2, x = exp(-pi sqrt(|d|)/(k a)).
 
     Each form's geometric remainder series sum_{r>=1} r x^r equals x/(1-x)^2
     exactly, so this dominates the modulus of the nonzero-frequency terms.
     """
+    if reduced is None:
+        reduced = forms.enumerate_reduced(d)
     k = aux.k
     with mp.workdps(dps):
         root = mp.sqrt(-d)
         total = mpf(0)
-        for f in forms.enumerate_reduced(d):
+        for f in reduced:
             x = mp.e ** (-mp.pi * root / (k * f.a))
             total += 2 * x / (1 - x) ** 2
         return 4 * mp.pi / root * total
@@ -401,15 +409,16 @@ def verify_identity(
     if aux is None:
         aux = choose_k(d)
     lv = l_values(d, aux, dps=dps, rtol=rtol)
-    principal, _ = principal_term(d, aux, dps=dps)
+    reduced = forms.enumerate_reduced(d)
+    s = form_character_sum(d, aux.k, reduced)
+    principal, _ = principal_term(d, aux, dps=dps, char_sum=s)
     a0 = a0_sum(d, aux, dps=dps)
-    bound = remainder_bound(d, aux, dps=dps)
+    bound = remainder_bound(d, aux, dps=dps, reduced=reduced)
     with mp.workdps(dps):
         lhs_f = lv.l1_formula * lv.l2_formula
         lhs_s = lv.l1_series * lv.l2_series
         residual = abs(lhs_f - principal - a0)
-    cv = c_value(d, aux)
-    s = form_character_sum(d, aux.k)
+    cv = c_value(d, aux, char_sum=s)
     return IdentityReport(
         d=d,
         q1=aux.q1,

@@ -86,7 +86,6 @@ class RunManifest:
     finished: str
     outputs: dict = field(default_factory=dict)
     summary: dict = field(default_factory=dict)
-    seed: int | None = None
 
     def to_json_dict(self) -> dict:
         return dict(self.__dict__)
@@ -125,7 +124,6 @@ def _neg_disc(value: int) -> int:
 def build_parser() -> _Parser:
     parser = _Parser(prog="onegenus", description=__doc__)
     parser.add_argument("--version", action="version", version=__version__)
-    parser.add_argument("--seed", type=int, default=None, help="seed for sampling-based replays; never changes results")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("sieve", help="run the bit-packed discriminant sieve")
@@ -223,7 +221,6 @@ def _cmd_sieve(args) -> int:
                 "direct_count": outcome.direct_count,
                 "words_processed": outcome.words_processed,
             },
-            seed=args.seed,
         )
         write_report(manifest.to_json_dict(), manifest_path)
     return 0

@@ -65,10 +65,6 @@ class QuadForm:
         return self.b == 0 or self.b == self.a or self.a == self.c
 
 
-def discriminant(f: QuadForm) -> int:
-    return f.discriminant()
-
-
 def reduce_form(f: QuadForm) -> QuadForm:
     """Unique reduced form equivalent to f (classical Gauss reduction)."""
     a, b, c = f.a, f.b, f.c

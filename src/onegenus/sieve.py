@@ -7,9 +7,16 @@ so d cannot have one class per genus.
 
 Residue conditions for the primes dividing two products P1, P2 are applied by
 only enumerating surviving residues and combining them with the Chinese
-remainder theorem.  For each remaining sieve prime q a table of 32-bit words
-indexed by a mod q marks whether a + k*P1*P2 is eliminated by q in bit k, so
-a single OR applies q's condition to 32 candidates.
+remainder theorem: each word a mod P1*P2 is an outer residue (surviving mod P1)
+plus an inner one (surviving mod P2).  For each remaining sieve prime q a table
+of 32-bit words indexed by a mod q marks whether a + k*P1*P2 is eliminated by q
+in bit k, so a single OR applies q's condition to 32 candidates.
+
+The stream has one shape for every configuration.  Inner contributions are
+generated in blocks of _BLOCK words, each block once per outer chunk, and the
+block is shifted by every outer residue of the chunk and sieved.  Memory stays
+at one block however large P2 is, as at paper scale where the inner set holds
+~6*10^8 residues; survivors come out unordered and are sorted at the end.
 
 Eliminations are only trusted for |d| >= small_cutoff (which must exceed
 4*q^2 for every configured prime); everything below the cutoff is passed
@@ -38,7 +45,7 @@ DEFAULT_P2 = (23, 29, 31, 37, 41, 43, 47)
 
 _N_CHUNKS = 64            # fixed outer-loop partition; checkpoint granularity
 _BLOCK = 1 << 19          # candidate words processed per vectorized pass
-_MATERIALIZE_LIMIT = 1 << 22   # residue sets larger than this are generated lazily
+_CADENCE = 8              # sieve primes between compactions of the alive words
 
 _LOW_MASKS = np.array([(1 << k) - 1 for k in range(33)], dtype=np.uint64).astype(np.uint32)
 
@@ -59,8 +66,6 @@ class SieveConfig:
     sieve_primes: tuple[int, ...] = field(default_factory=default_sieve_primes)
     limit: int = 10**6
     small_cutoff: int = 10**7
-    word_width: int = WORD_WIDTH
-    cadence: int = 8
 
     def __post_init__(self):
         object.__setattr__(self, "p1_primes", tuple(sorted(self.p1_primes)))
@@ -74,10 +79,6 @@ class SieveConfig:
                 raise ValueError(f"{p} is not an odd prime")
         if not self.p1_primes or not self.p2_primes:
             raise ValueError("both prime products must be non-empty")
-        if self.word_width != WORD_WIDTH:
-            raise ValueError("word width is fixed at 32")
-        if self.cadence < 1:
-            raise ValueError("cadence must be >= 1")
         if self.limit < 0:
             raise ValueError("limit must be non-negative")
         if self.limit >= self.small_cutoff and allp:
@@ -102,7 +103,7 @@ class SieveConfig:
 
     @property
     def coverage(self) -> int:
-        return self.word_width * self.modulus
+        return WORD_WIDTH * self.modulus
 
     def canonical(self) -> dict:
         return {
@@ -111,21 +112,11 @@ class SieveConfig:
             "sieve_primes": list(self.sieve_primes),
             "limit": self.limit,
             "small_cutoff": self.small_cutoff,
-            "word_width": self.word_width,
-            "cadence": self.cadence,
         }
 
     def config_hash(self) -> str:
         blob = json.dumps(self.canonical(), sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(blob.encode()).hexdigest()[:16]
-
-
-def survivor_residues(p: int) -> list[int]:
-    """Residues a mod p that are *not* congruent to -x^2 for any x != 0 mod p."""
-    bad = bytearray(p)
-    for x in range(1, p):
-        bad[(-x * x) % p] = 1
-    return [r for r in range(p) if not bad[r]]
 
 
 def eliminated_residues(p: int) -> np.ndarray:
@@ -134,14 +125,6 @@ def eliminated_residues(p: int) -> np.ndarray:
     for x in range(1, p):
         bad[(-x * x) % p] = True
     return bad
-
-
-def crt_combine(r1: int, m1: int, r2: int, m2: int) -> int:
-    """Unique x in [0, m1*m2) with x = r1 (mod m1) and x = r2 (mod m2)."""
-    if math.gcd(m1, m2) != 1:
-        raise ValueError(f"moduli {m1}, {m2} are not coprime")
-    x = r1 + m1 * ((r2 - r1) * pow(m1, -1, m2) % m2)
-    return x % (m1 * m2)
 
 
 def survivors_mod(primes) -> list[int]:
@@ -159,7 +142,7 @@ def survivors_mod(primes) -> list[int]:
     for p in primes:
         if p == 2 or not is_prime(p):
             raise ValueError(f"{p} is not an odd prime")
-        res = survivor_residues(p)
+        res = np.flatnonzero(~eliminated_residues(p)).tolist()
         inv = pow(mod, -1, p)
         vals = [v + mod * ((r - v) * inv % p) for v in vals for r in res]
         mod *= p
@@ -167,15 +150,8 @@ def survivors_mod(primes) -> list[int]:
     return vals
 
 
-@dataclass
-class BitTables:
-    """Per-prime arrays of 32-bit words; word[a] bit k covers a + k*P1*P2."""
-
-    modulus: int
-    words: dict[int, np.ndarray]
-
-
-def build_bit_tables(config: SieveConfig) -> BitTables:
+def build_bit_tables(config: SieveConfig) -> dict[int, np.ndarray]:
+    """Per sieve prime q, 32-bit words indexed by a mod q; bit k covers a + k*P1*P2."""
     m = config.modulus
     words = {}
     ks = np.arange(WORD_WIDTH, dtype=np.int64)
@@ -185,7 +161,7 @@ def build_bit_tables(config: SieveConfig) -> BitTables:
         idx = (np.arange(q, dtype=np.int64)[:, None] + ks[None, :] * (m % q)) % q
         bits = bad[idx].astype(np.uint32) << shifts[None, :]
         words[q] = np.bitwise_or.reduce(bits, axis=1)
-    return BitTables(m, words)
+    return words
 
 
 @dataclass(frozen=True)
@@ -298,12 +274,12 @@ class _Runner:
         self.n_outer = len(outer)
         self.outer_base = np.array([(r * c1) % m for r in outer], dtype=np.int64)
 
-        # mixed-radix CRT contributions for the inner product, first prime fastest
+        # per-prime CRT contributions for the inner product, combined by _gen_contrib
         self.inner_counts = []
         self.inner_contribs = []
         for p in config.p2_primes:
             e = (m2 // p) * pow(m2 // p, -1, p)
-            res = survivor_residues(p)
+            res = np.flatnonzero(~eliminated_residues(p)).tolist()
             self.inner_counts.append(len(res))
             self.inner_contribs.append(
                 np.array([((r * e) % m2) * c2 % m for r in res], dtype=np.int64)
@@ -312,7 +288,7 @@ class _Runner:
 
         tables = build_bit_tables(config)
         self.primes = list(config.sieve_primes)
-        self.tables = [tables.words[q] for q in self.primes]
+        self.tables = [tables[q] for q in self.primes]
 
         mm4 = m % 4
         self.mod4_masks = np.zeros(4, dtype=np.uint32)
@@ -324,14 +300,11 @@ class _Runner:
             self.mod4_masks[r] = mask
 
         self.lo_t = max(config.small_cutoff, 3)
-        if self.n_inner <= _MATERIALIZE_LIMIT:
-            self.contrib = self._gen_contrib(np.arange(self.n_inner, dtype=np.int64))
-        else:
-            self.contrib = None
 
-    def _gen_contrib(self, idx: np.ndarray) -> np.ndarray:
-        acc = np.zeros(idx.shape, dtype=np.int64)
-        rem = idx.copy()
+    def _gen_contrib(self, lo: int, hi: int) -> np.ndarray:
+        """CRT contributions of inner indices [lo, hi), mixed radix, first prime fastest."""
+        rem = np.arange(lo, hi, dtype=np.int64)
+        acc = np.zeros(rem.shape, dtype=np.int64)
         for count, contribs in zip(self.inner_counts, self.inner_contribs):
             acc += contribs[rem % count]
             rem //= count
@@ -342,21 +315,11 @@ class _Runner:
         survivors: list[int] = []
         tally = np.zeros(len(self.primes), dtype=np.int64)
         stream_valid = 0
-        words = 0
-        for o in range(lo, hi):
-            base = int(self.outer_base[o])
-            if self.contrib is not None:
-                for s in range(0, self.n_inner, _BLOCK):
-                    a = base + self.contrib[s : s + _BLOCK]
-                    stream_valid += self._sieve_block(a, survivors, tally)
-                    words += min(_BLOCK, self.n_inner - s)
-            else:
-                for s in range(0, self.n_inner, _BLOCK):
-                    idx = np.arange(s, min(s + _BLOCK, self.n_inner), dtype=np.int64)
-                    a = base + self._gen_contrib(idx)
-                    stream_valid += self._sieve_block(a, survivors, tally)
-                    words += idx.size
-        return survivors, tally, stream_valid, words
+        for s in range(0, self.n_inner, _BLOCK):
+            contrib = self._gen_contrib(s, min(s + _BLOCK, self.n_inner))
+            for o in range(lo, hi):
+                stream_valid += self._sieve_block(self.outer_base[o] + contrib, survivors, tally)
+        return survivors, tally, stream_valid, (hi - lo) * self.n_inner
 
     def _sieve_block(self, a: np.ndarray, out: list[int], tally: np.ndarray) -> int:
         m = self.m
@@ -376,14 +339,13 @@ class _Runner:
             return stream_valid
         a, vm = a[keep], vm[keep]
         w = np.zeros(a.shape, dtype=np.uint32)
-        cadence = self.config.cadence
         n_primes = len(self.primes)
         for i in range(n_primes):
             t = self.tables[i][a % self.primes[i]]
             credited = t & ~w & vm
             tally[i] += _popcount_sum(credited)
             w |= t
-            if (i + 1) % cadence == 0 and i + 1 < n_primes:
+            if (i + 1) % _CADENCE == 0 and i + 1 < n_primes:
                 keep = np.flatnonzero((~w & vm) != 0)
                 if keep.size == 0:
                     return stream_valid
@@ -423,7 +385,7 @@ def run_sieve(
     max_chunks: int | None = None,
     progress: bool = False,
 ) -> SieveOutcome:
-    """Run the sieve up to config.limit.
+    """Run the sieve up to config.limit, which must be below config.coverage.
 
     Candidates below small_cutoff are emitted as survivors for direct
     checking; candidates in [small_cutoff, limit] are eliminated when some
@@ -432,9 +394,9 @@ def run_sieve(
     max_chunks set, stops early after that many outer-loop chunks (state goes
     to the checkpoint; the partial outcome is flagged completed=False).
     """
-    if config.limit > config.coverage:
+    if config.limit >= config.coverage:
         raise ValueError(
-            f"limit {config.limit} exceeds coverage {config.coverage} = 32*P1*P2"
+            f"limit {config.limit} must be below coverage {config.coverage} = 32*P1*P2"
         )
 
     direct = _direct_values(config)
@@ -561,8 +523,8 @@ def run_sieve(
             f"stream covered {stream_valid} valid candidates, residue scan expected {alive_total}"
         )
 
-    survivors = sorted(int(v) for v in direct) + sorted(stream_survivors)
-    survivors.sort()
+    # pass-through values lie below small_cutoff and stream survivors at or above it
+    survivors = direct.tolist() + sorted(stream_survivors)
     tally = {p: int(c) for p, c in p_tallies.items()}
     for q, c in zip(config.sieve_primes, bit_tally):
         tally[q] = int(c)

@@ -182,6 +182,15 @@ class TestSieveCli:
         assert code == 0
         assert open(out_csv, "rb").read() == open(fresh, "rb").read()
 
+    def test_limit_at_coverage_is_usage_error(self, cli):
+        # 32*P1*P2 = 36960 lies just past the last candidate the stream covers
+        code, _, err = cli(
+            "sieve", "--limit", "36960", "--p1", "3,5", "--p2", "7,11",
+            "--sieve-primes", "13..23", "--small-cutoff", "2500",
+        )
+        assert code == 1
+        assert "coverage" in err
+
     def test_threads_flag(self, cli, tmp_path):
         a = str(tmp_path / "t1.csv")
         b = str(tmp_path / "t4.csv")

@@ -7,7 +7,7 @@ import pytest
 
 from onegenus import sieve
 from onegenus.errors import CheckpointMismatch
-from onegenus.sieve import SieveConfig, crt_combine, run_sieve, survivors_mod, witness_form
+from onegenus.sieve import SieveConfig, run_sieve, survivors_mod, witness_form
 
 # small full-coverage config used throughout: every prime's 4p^2 sits below
 # the cutoff, so eliminations in [2200, 30000] are certified
@@ -53,18 +53,6 @@ class TestSurvivorsMod:
             assert len(expect) == (p + 1) // 2
 
 
-class TestCrt:
-    def test_examples(self):
-        assert crt_combine(2, 3, 3, 5) == 8
-        assert crt_combine(0, 7, 0, 11) == 0
-        x = crt_combine(1, 4849845, 0, 63392725189)
-        assert x % 4849845 == 1 and x % 63392725189 == 0
-
-    def test_non_coprime(self):
-        with pytest.raises(ValueError):
-            crt_combine(1, 6, 2, 9)
-
-
 class TestBitTables:
     @pytest.mark.parametrize("q", [53, 59, 61])
     def test_exhaustive_against_naive(self, q):
@@ -73,7 +61,7 @@ class TestBitTables:
             limit=10**6, small_cutoff=2 * 10**6,
         )
         m = config.modulus
-        table = sieve.build_bit_tables(config).words[q]
+        table = sieve.build_bit_tables(config)[q]
         neg_qr = {(-x * x) % q for x in range(1, q)}
         for a in range(q):
             for k in range(32):
@@ -86,7 +74,7 @@ class TestBitTables:
             p1_primes=(3, 5), p2_primes=(7, 11), sieve_primes=(53,),
             limit=10**6, small_cutoff=2 * 10**6,
         )
-        table = sieve.build_bit_tables(config).words[53]
+        table = sieve.build_bit_tables(config)[53]
         m = config.modulus
         for a in range(53):
             for k in range(32):
@@ -98,7 +86,7 @@ class TestBitTables:
             p1_primes=(3, 5), p2_primes=(7, 11), sieve_primes=(53,),
             limit=10**6, small_cutoff=2 * 10**6,
         )
-        table = sieve.build_bit_tables(config).words[53]
+        table = sieve.build_bit_tables(config)[53]
         for k in range(32):
             zeros = sum(1 for a in range(53) if not (int(table[a]) >> k) & 1)
             assert zeros == (53 + 1) // 2
@@ -126,6 +114,9 @@ class TestConfig:
         assert config.coverage == 32 * 15 * 77
         with pytest.raises(ValueError, match="coverage"):
             run_sieve(SieveConfig(**{**SMALL, "limit": 40000}))
+        # the stream covers |d| < 32*P1*P2 only, so the coverage itself is out too
+        with pytest.raises(ValueError, match="coverage"):
+            run_sieve(SieveConfig(**{**SMALL, "limit": config.coverage}))
 
     def test_rejects_uncertified_cutoff(self):
         # 4 * 23^2 = 2116 >= cutoff 2000 would leave eliminations unwitnessed
@@ -238,6 +229,46 @@ class TestCheckpoint:
         with pytest.raises(CheckpointMismatch):
             run_sieve(SieveConfig(**SMALL), checkpoint_path=str(tmp_path / "no.json"),
                       resume=True)
+
+
+def _same_outcome(a, b):
+    assert a.survivors == b.survivors
+    assert a.per_prime_tally == b.per_prime_tally
+    assert a.tested_count == b.tested_count
+    assert a.stream_valid == b.stream_valid
+    assert a.words_processed == b.words_processed
+
+
+class TestMultiBlockStream:
+    """A small odd block splits every inner residue set into many blocks, as
+    the default products do at paper scale (~6*10^8 inner residues)."""
+
+    BLOCK = 5  # leaves a short last block for both configs below
+
+    PIPELINE = dict(
+        p1_primes=(3, 5, 7),
+        p2_primes=(11, 13, 17),
+        sieve_primes=(19, 23, 29, 31, 37, 41, 43, 47),
+        limit=10**6,
+        small_cutoff=10**4,
+    )
+
+    @pytest.mark.parametrize("params", [SMALL, PIPELINE], ids=["small", "pipeline"])
+    def test_matches_default_block(self, monkeypatch, params):
+        whole = run_sieve(SieveConfig(**params))
+        monkeypatch.setattr(sieve, "_BLOCK", self.BLOCK)
+        n_inner = sieve._Runner(SieveConfig(**params)).n_inner
+        assert n_inner > self.BLOCK and n_inner % self.BLOCK
+        _same_outcome(run_sieve(SieveConfig(**params)), whole)
+
+    def test_resume_from_checkpoint(self, monkeypatch, tmp_path, small_outcome):
+        monkeypatch.setattr(sieve, "_BLOCK", self.BLOCK)
+        ck = str(tmp_path / "ck.json")
+        partial = run_sieve(SieveConfig(**SMALL), checkpoint_path=ck, max_chunks=3)
+        assert not partial.completed
+        resumed = run_sieve(SieveConfig(**SMALL), checkpoint_path=ck, resume=True)
+        assert resumed.completed
+        _same_outcome(resumed, small_outcome)
 
 
 class TestWitness:
