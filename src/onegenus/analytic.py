@@ -25,7 +25,7 @@ from fractions import Fraction
 from mpmath import mp, mpf
 
 from . import forms
-from .arith import factorize, is_squarefree, kronecker, odd_primes_not_dividing
+from .arith import is_prime, is_squarefree, kronecker, odd_primes_not_dividing
 from .errors import InternalCheckError
 
 DEFAULT_DPS = 60
@@ -34,13 +34,19 @@ SERIES_RTOL = 1e-8
 
 @dataclass(frozen=True)
 class AuxiliaryK:
-    """Auxiliary modulus k = q1*q2 built from the first primes avoiding d."""
+    """Auxiliary modulus k = q1*q2 of two distinct odd primes, k = 1 (mod 4).
+
+    Two prime factors make the zero-frequency term A0 of the identity vanish.
+    """
 
     q1: int
     q2: int
     k: int
 
     def __post_init__(self):
+        for q in (self.q1, self.q2):
+            if q == 2 or not is_prime(q):
+                raise ValueError(f"q1 and q2 must be odd primes, got {q}")
         if self.q1 >= self.q2:
             raise ValueError("q1 < q2 required")
         if self.k != self.q1 * self.q2:
@@ -242,59 +248,6 @@ def l2_series_truncated(k: int, d: int, n_terms: int, dps: int = DEFAULT_DPS) ->
         return total, mpf(2 * best) / (n_terms + 1)
 
 
-@dataclass
-class LValues:
-    l1_formula: mpf
-    l1_series: mpf
-    l2_formula: mpf
-    l2_series: mpf
-    h_k: int
-    h_kd: int
-    unit: UnitData
-
-    @property
-    def l1_gap(self) -> float:
-        return abs(float((self.l1_formula - self.l1_series) / self.l1_formula))
-
-    @property
-    def l2_gap(self) -> float:
-        return abs(float((self.l2_formula - self.l2_series) / self.l2_formula))
-
-
-def l_values(
-    d: int,
-    aux: AuxiliaryK,
-    dps: int = DEFAULT_DPS,
-    rtol: float = SERIES_RTOL,
-) -> LValues:
-    """Both L-values, each by the class number formula and by a character sum.
-
-    Raises InternalCheckError when the two routes disagree beyond rtol; that
-    signals a bug, not a bad input.
-    """
-    forms.validate_discriminant(d)
-    if not forms.is_fundamental(d):
-        raise ValueError(f"d must be a fundamental discriminant, got {d}")
-    k = aux.k
-    if math.gcd(k, d) != 1:
-        raise ValueError(f"k = {k} must be coprime to d = {d}")
-    h_k = real_class_number(k)
-    unit = fundamental_unit(k, dps=dps)
-    h_kd = forms.class_number(k * d)
-    with mp.workdps(dps):
-        l1_f = 2 * h_k * unit.log_epsilon / mp.sqrt(k)
-        l2_f = h_kd * mp.pi / mp.sqrt(k * (-d))
-    l1_s = l1_series(k, dps=dps)
-    l2_s = l2_series(k, d, dps=dps)
-    out = LValues(l1_f, l1_s, l2_f, l2_s, h_k, h_kd, unit)
-    if out.l1_gap > rtol or out.l2_gap > rtol:
-        raise InternalCheckError(
-            f"L-value routes disagree for d={d}, k={k}: "
-            f"gaps {out.l1_gap:.3e}, {out.l2_gap:.3e} exceed {rtol}"
-        )
-    return out
-
-
 def form_character_sum(d: int, k: int, reduced: list[forms.QuadForm] | None = None) -> Fraction:
     """Exact sum of chi_k(a)/a over the reduced forms of d (reduced, if given, lists them)."""
     if reduced is None:
@@ -326,26 +279,6 @@ def principal_term(
     with mp.workdps(dps):
         value = mp.pi**2 / 6 * mpf(s.numerator) / mpf(s.denominator)
     return value, q
-
-
-def a0_sum(d: int, aux: AuxiliaryK | int, dps: int = DEFAULT_DPS) -> mpf:
-    """Zero-frequency remainder coefficient, summed over forms.
-
-    Nonzero only when the auxiliary modulus is a prime power p^j, where each
-    form contributes -(4 pi / (k sqrt(|d|))) chi(a) log p.  A two-prime k from
-    choose_k therefore always gives 0.
-    """
-    forms.validate_discriminant(d)
-    if isinstance(aux, AuxiliaryK):
-        return mpf(0)
-    k = aux
-    fac = factorize(k)
-    if len(fac) != 1:
-        return mpf(0)
-    p = next(iter(fac))
-    chi_total = sum(kronecker(k, f.a) for f in forms.enumerate_reduced(d))
-    with mp.workdps(dps):
-        return -4 * mp.pi / (k * mp.sqrt(-d)) * chi_total * mp.log(p)
 
 
 def remainder_bound(
@@ -394,8 +327,7 @@ class IdentityReport:
     dps: int
 
     def to_json_dict(self) -> dict:
-        out = dict(self.__dict__)
-        return out
+        return dict(self.__dict__)
 
 
 def verify_identity(
@@ -404,40 +336,64 @@ def verify_identity(
     dps: int = DEFAULT_DPS,
     rtol: float = SERIES_RTOL,
 ) -> IdentityReport:
-    """Check |LHS - principal - A0| <= remainder bound with a dual-route LHS."""
+    """Check |LHS - principal| <= remainder bound with a dual-route LHS.
+
+    Each L-value comes from its class number formula and from a finite
+    character sum; InternalCheckError is raised when the two routes disagree
+    beyond rtol, which signals a bug, not a bad input.  A0 vanishes for the
+    two-prime k of AuxiliaryK, so the report's a0_sum is always 0.
+    """
     forms.validate_discriminant(d)
     if aux is None:
         aux = choose_k(d)
-    lv = l_values(d, aux, dps=dps, rtol=rtol)
+    if not forms.is_fundamental(d):
+        raise ValueError(f"d must be a fundamental discriminant, got {d}")
+    k = aux.k
+    if math.gcd(k, d) != 1:
+        raise ValueError(f"k = {k} must be coprime to d = {d}")
+    h_k = real_class_number(k)
+    unit = fundamental_unit(k, dps=dps)
+    h_kd = forms.class_number(k * d)
+    with mp.workdps(dps):
+        l1_f = 2 * h_k * unit.log_epsilon / mp.sqrt(k)
+        l2_f = h_kd * mp.pi / mp.sqrt(k * (-d))
+    l1_s = l1_series(k, dps=dps)
+    l2_s = l2_series(k, d, dps=dps)
+    l1_gap = abs(float((l1_f - l1_s) / l1_f))
+    l2_gap = abs(float((l2_f - l2_s) / l2_f))
+    if l1_gap > rtol or l2_gap > rtol:
+        raise InternalCheckError(
+            f"L-value routes disagree for d={d}, k={k}: "
+            f"gaps {l1_gap:.3e}, {l2_gap:.3e} exceed {rtol}"
+        )
     reduced = forms.enumerate_reduced(d)
-    s = form_character_sum(d, aux.k, reduced)
+    s = form_character_sum(d, k, reduced)
     principal, _ = principal_term(d, aux, dps=dps, char_sum=s)
-    a0 = a0_sum(d, aux, dps=dps)
     bound = remainder_bound(d, aux, dps=dps, reduced=reduced)
     with mp.workdps(dps):
-        lhs_f = lv.l1_formula * lv.l2_formula
-        lhs_s = lv.l1_series * lv.l2_series
-        residual = abs(lhs_f - principal - a0)
+        lhs_f = l1_f * l2_f
+        lhs_s = l1_s * l2_s
+        residual = abs(lhs_f - principal)
     cv = c_value(d, aux, char_sum=s)
     return IdentityReport(
         d=d,
         q1=aux.q1,
         q2=aux.q2,
-        k=aux.k,
-        h_k=lv.h_k,
-        h_kd=lv.h_kd,
-        log_epsilon=float(lv.unit.log_epsilon),
-        l1_formula=float(lv.l1_formula),
-        l1_series=float(lv.l1_series),
-        l2_formula=float(lv.l2_formula),
-        l2_series=float(lv.l2_series),
+        k=k,
+        h_k=h_k,
+        h_kd=h_kd,
+        log_epsilon=float(unit.log_epsilon),
+        l1_formula=float(l1_f),
+        l1_series=float(l1_s),
+        l2_formula=float(l2_f),
+        l2_series=float(l2_s),
         lhs_formula=float(lhs_f),
         lhs_series=float(lhs_s),
         principal=float(principal),
-        a0_sum=float(a0),
+        a0_sum=0.0,
         remainder_bound=float(bound),
         residual=float(residual),
-        series_rel_gap=max(lv.l1_gap, lv.l2_gap),
+        series_rel_gap=max(l1_gap, l2_gap),
         verdict=bool(residual <= bound),
         c_numerator=cv if isinstance(cv, int) else None,
         char_sum=f"{s.numerator}/{s.denominator}",

@@ -70,32 +70,6 @@ def rosser_pn_bound(n: int, dps: int = DEFAULT_DPS) -> mpf:
         return n * (ln + mp.log(ln))
 
 
-@dataclass
-class ArithBounds:
-    n: int
-    omega_rhs: mpf | None
-    sigma_rhs: mpf
-    pn_rhs: mpf
-
-
-def arith_bounds(n: int, pn_index: int | None = None, dps: int = DEFAULT_DPS) -> ArithBounds:
-    """Evaluate all three arithmetic-function bounds at n.
-
-    omega_rhs is None for 3 <= n < 26 (below the omega bound's domain); the
-    sigma bound holds from n = 3 and the p_n bound from index 6 (the index
-    defaults to n).
-    """
-    if n < 3:
-        raise ValueError(f"arith bounds require n >= 3, got {n}")
-    idx = n if pn_index is None else pn_index
-    return ArithBounds(
-        n=n,
-        omega_rhs=robin_omega_bound(n, dps) if n >= 26 else None,
-        sigma_rhs=robin_sigma_bound(n, dps),
-        pn_rhs=rosser_pn_bound(idx, dps),
-    )
-
-
 def auxiliary_bounds(d: int, dps: int = DEFAULT_DPS) -> dict:
     """The five auxiliary-modulus bounds as functions of |d| (needs |d| >= 16).
 
@@ -132,50 +106,43 @@ def beta_height_bound(d: int, dps: int = DEFAULT_DPS) -> mpf:
         return mpf("8.12") * mpf(n) ** mpf(1.5) * ln**6 * mp.log(ln)
 
 
+# Degrees of the coefficient (D0) and of the two logarithm arguments (D1, D2)
+# of beta log(eps) - log(i), and of the field they generate (D).
+D0 = D1 = D2 = 2
+FIELD_DEGREE = 8
+
+
 @dataclass(frozen=True)
 class WaldschmidtParams:
     """Inputs to the two-logarithm lower bound.
 
-    D0, D1, D2 are the exact degrees of the coefficient and the two
-    logarithm arguments, D the degree of the field they generate; A1, A2
-    bound each argument's height and exp|log|, and B bounds the coefficient
-    height.  Derived: S0 = D0 + log B, Sj = Dj + log Aj and
+    A1, A2 bound each logarithm argument's height and exp|log|, and B bounds
+    the coefficient height.  Derived, with the degrees D0, D1, D2 and
+    D = FIELD_DEGREE: S0 = D0 + log B, Sj = Dj + log Aj and
     T = 4 + S0/D0 + log(D^2 (S1/D1)(S2/D2)).
     """
 
     log_a1: mpf
     log_a2: mpf
     log_b: mpf
-    d0: int = 2
-    d1: int = 2
-    d2: int = 2
-    d_field: int = 8
     dps: int = DEFAULT_DPS
 
     @property
     def s0(self) -> mpf:
-        return self.d0 + self.log_b
+        return D0 + self.log_b
 
     @property
     def s1(self) -> mpf:
-        return self.d1 + self.log_a1
+        return D1 + self.log_a1
 
     @property
     def s2(self) -> mpf:
-        return self.d2 + self.log_a2
+        return D2 + self.log_a2
 
     @property
     def t_value(self) -> mpf:
         with mp.workdps(self.dps):
-            return 4 + self.s0 / self.d0 + mp.log(
-                self.d_field**2 * (self.s1 / self.d1) * (self.s2 / self.d2)
-            )
-
-    def t_instantiated(self) -> mpf:
-        """The specialised form 5 + (log B)/2 + log(32 S1); equal to t_value
-        at the default degrees."""
-        with mp.workdps(self.dps):
-            return 5 + self.log_b / 2 + mp.log(32 * self.s1)
+            return 4 + self.s0 / D0 + mp.log(FIELD_DEGREE**2 * (self.s1 / D1) * (self.s2 / D2))
 
     @classmethod
     def instantiate(cls, d: int, dps: int = DEFAULT_DPS) -> "WaldschmidtParams":
@@ -198,9 +165,9 @@ def waldschmidt_lower(p: WaldschmidtParams) -> mpf:
     with mp.workdps(p.dps):
         return (
             mpf(5e8)
-            * mpf(p.d_field) ** 4
-            * (p.s1 / p.d1)
-            * (p.s2 / p.d2)
+            * mpf(FIELD_DEGREE) ** 4
+            * (p.s1 / D1)
+            * (p.s2 / D2)
             * p.t_value**2
         )
 

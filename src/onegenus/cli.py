@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import __version__, analytic, bounds, forms, sieve, survivors
+from .arith import factorize, primes_up_to
 from .errors import CheckpointMismatch, InternalCheckError
 
 DEFAULT_DIGITS = 12
@@ -92,13 +93,17 @@ class RunManifest:
 
 
 def _int_arg(text: str) -> int:
+    """An exact integer in decimal or scientific notation, e.g. 98e17."""
+    # a huge exponent would make Fraction build a gigantic power of ten
+    if len(text.lower().partition("e")[2].lstrip("+-")) > 3:
+        raise argparse.ArgumentTypeError(f"{text} has too large an exponent")
     try:
-        return int(text)
-    except ValueError:
-        value = float(text)
-        if value != int(value):
-            raise argparse.ArgumentTypeError(f"{text} is not an integer")
-        return int(value)
+        value = Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise argparse.ArgumentTypeError(f"{text} is not a number") from None
+    if value.denominator != 1:
+        raise argparse.ArgumentTypeError(f"{text} is not an integer")
+    return int(value)
 
 
 def _prime_list(text: str) -> tuple[int, ...]:
@@ -109,8 +114,6 @@ def _prime_range(text: str) -> tuple[int, ...]:
     lo, _, hi = text.partition("..")
     if not _:
         raise argparse.ArgumentTypeError("expected LO..HI")
-    from .arith import primes_up_to
-
     lo_v, hi_v = int(lo), int(hi)
     return tuple(p for p in primes_up_to(hi_v) if p >= lo_v)
 
@@ -250,7 +253,7 @@ def _cmd_identity(args) -> int:
     if args.k is None:
         aux = analytic.choose_k(d)
     else:
-        fac = sorted(analytic.factorize(args.k))
+        fac = sorted(factorize(args.k))
         if len(fac) != 2 or args.k != fac[0] * fac[1]:
             raise ValueError(f"--k must be a product of two distinct odd primes, got {args.k}")
         aux = analytic.AuxiliaryK(fac[0], fac[1], args.k)

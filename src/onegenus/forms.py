@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .arith import factorize, is_squarefree, omega
+from .arith import is_squarefree, omega
 
 # enumerate_reduced walks ~|d|/6 (a, b) pairs; refuse sizes that would spin
 # for hours instead of silently never returning.
@@ -160,33 +160,16 @@ class GenusReport:
 
 
 def genus_report(d: int, factors: dict[int, int] | None = None) -> GenusReport:
+    """Enumeration-based verdict for d; factors (of |d|, if known) give the genus count."""
     forms = enumerate_reduced(d)
     ambiguous = sum(1 for f in forms if f.is_ambiguous())
-    if factors is None:
-        factors = factorize(d)
-    fund = _is_fundamental_from_factors(d, factors)
-    genera = (1 << (len(factors) - 1)) if fund else None
+    fund = is_fundamental(d)
     return GenusReport(
         d=d,
         class_number=len(forms),
-        genus_count=genera,
+        genus_count=(1 << (omega(d, factors) - 1)) if fund else None,
         forms=forms,
         ambiguous_count=ambiguous,
         one_class_per_genus=ambiguous == len(forms),
         is_fundamental=fund,
     )
-
-
-def _is_fundamental_from_factors(d: int, factors: dict[int, int]) -> bool:
-    if d % 4 == 1:
-        return all(e == 1 for e in factors.values())
-    m = d // 4
-    if m % 4 not in (2, 3):
-        return False
-    mf = dict(factors)
-    mf[2] = mf.get(2, 0) - 2
-    if mf[2] < 0:
-        return False
-    if mf[2] == 0:
-        del mf[2]
-    return all(e == 1 for e in mf.values())

@@ -43,11 +43,10 @@ WORD_WIDTH = 32
 DEFAULT_P1 = (3, 5, 7, 11, 13, 17, 19)
 DEFAULT_P2 = (23, 29, 31, 37, 41, 43, 47)
 
-_N_CHUNKS = 64            # fixed outer-loop partition; checkpoint granularity
+_N_CHUNKS = 64            # at most this many outer-loop chunks (checkpoints)
+_CHUNK_WORDS = 1 << 32    # and at most this many words each, unless one outer residue holds more
 _BLOCK = 1 << 19          # candidate words processed per vectorized pass
 _CADENCE = 8              # sieve primes between compactions of the alive words
-
-_LOW_MASKS = np.array([(1 << k) - 1 for k in range(33)], dtype=np.uint64).astype(np.uint32)
 
 
 def default_sieve_primes() -> tuple[int, ...]:
@@ -264,7 +263,6 @@ class _Runner:
     """Precomputed stream state shared by all workers (inherited via fork)."""
 
     def __init__(self, config: SieveConfig):
-        self.config = config
         m1, m2 = config.p1_product, config.p2_product
         self.m = m = m1 * m2
         c1 = m2 * pow(m2, -1, m1) % m
@@ -290,16 +288,24 @@ class _Runner:
         self.primes = list(config.sieve_primes)
         self.tables = [tables[q] for q in self.primes]
 
-        mm4 = m % 4
-        self.mod4_masks = np.zeros(4, dtype=np.uint32)
-        for r in range(4):
+        # For 0 <= a < m, bit k of word a is a valid candidate when
+        # lo <= a + k*m <= limit and a + k*m = 0 or 3 (mod 4).  With
+        # lo = lo_q*m + lo_r and limit = hi_q*m + hi_r that depends only on
+        # (a < lo_r, a > hi_r, a mod 4): one of 16 masks, built in Python ints.
+        lo_q, self.lo_r = divmod(max(config.small_cutoff, 3), m)
+        hi_q, self.hi_r = divmod(config.limit, m)
+        self.valid_masks = np.zeros(16, dtype=np.uint32)
+        for i in range(16):
+            below_lo, above_hi, r = i >> 3, (i >> 2) & 1, i & 3
             mask = 0
             for k in range(WORD_WIDTH):
-                if (r + k * mm4) % 4 in (0, 3):
+                if (
+                    (k > lo_q or (k == lo_q and not below_lo))
+                    and (k < hi_q or (k == hi_q and not above_hi))
+                    and (r + k * m) % 4 in (0, 3)
+                ):
                     mask |= 1 << k
-            self.mod4_masks[r] = mask
-
-        self.lo_t = max(config.small_cutoff, 3)
+            self.valid_masks[i] = mask
 
     def _gen_contrib(self, lo: int, hi: int) -> np.ndarray:
         """CRT contributions of inner indices [lo, hi), mixed radix, first prime fastest."""
@@ -324,15 +330,7 @@ class _Runner:
     def _sieve_block(self, a: np.ndarray, out: list[int], tally: np.ndarray) -> int:
         m = self.m
         a = np.where(a >= m, a - m, a)
-        # bits k with lo_t <= a + k*m <= limit and the mod-4 condition
-        kmin = np.maximum(0, -((a - self.lo_t) // m))
-        kmax = np.minimum(WORD_WIDTH - 1, (self.config.limit - a) // m)
-        vm = np.where(
-            kmax >= kmin,
-            _LOW_MASKS[np.minimum(kmax + 1, WORD_WIDTH)] & ~_LOW_MASKS[np.minimum(kmin, WORD_WIDTH)],
-            np.uint32(0),
-        )
-        vm &= self.mod4_masks[a & 3]
+        vm = self.valid_masks[((a < self.lo_r) << 3) | ((a > self.hi_r) << 2) | (a & 3)]
         stream_valid = _popcount_sum(vm)
         keep = np.flatnonzero(vm)
         if keep.size == 0:
@@ -367,6 +365,13 @@ _WORKER_RUNNER: _Runner | None = None
 
 def _worker_task(span):
     return _WORKER_RUNNER.process_range(*span)
+
+
+def _chunk_spans(n_outer: int, n_inner: int) -> list[tuple[int, int]]:
+    """Outer-index spans [lo, hi) covering [0, n_outer): at most _N_CHUNKS of
+    them, each of at most _CHUNK_WORDS words unless one outer residue is more."""
+    size = max(1, min(-(-n_outer // _N_CHUNKS), _CHUNK_WORDS // n_inner))
+    return [(lo, min(lo + size, n_outer)) for lo in range(0, n_outer, size)]
 
 
 def _write_checkpoint(path: str, data: dict) -> None:
@@ -413,11 +418,7 @@ def run_sieve(
     runner = None
     if need_stream:
         runner = _Runner(config)
-        chunk_size = max(1, -(-runner.n_outer // _N_CHUNKS))
-        chunks = [
-            (lo, min(lo + chunk_size, runner.n_outer))
-            for lo in range(0, runner.n_outer, chunk_size)
-        ]
+        chunks = _chunk_spans(runner.n_outer, runner.n_inner)
 
     surv_file = (checkpoint_path + ".survivors") if checkpoint_path else None
     if resume:
@@ -430,7 +431,11 @@ def run_sieve(
                 f"checkpoint hash {ck.get('config_hash')} does not match config "
                 f"{config.config_hash()}"
             )
-        chunks_done = int(ck["chunks_done"])
+        # resume at the outer index the checkpoint recorded, which must end a chunk
+        ends = [hi for _, hi in chunks]
+        if ck["outer_index"] not in ends:
+            raise CheckpointMismatch(f"checkpoint outer_index {ck['outer_index']} ends no chunk")
+        chunks_done = ends.index(ck["outer_index"]) + 1
         stream_valid = int(ck["stream_valid"])
         words = int(ck["words_processed"])
         bit_tally = np.array(ck["bit_tally"], dtype=np.int64)

@@ -15,14 +15,12 @@ import numpy as np
 from . import forms
 from .arith import kronecker
 
-FULL_CHECK_LIMIT = forms.ENUMERATION_LIMIT
-
 
 def full_check(d: int, factors: dict[int, int] | None = None) -> forms.GenusReport:
-    """Authoritative one-class-per-genus verdict by exact enumeration."""
-    forms.validate_discriminant(d)
-    if -d > FULL_CHECK_LIMIT:
-        raise ValueError(f"|d| = {-d} too large for enumeration (limit {FULL_CHECK_LIMIT})")
+    """Authoritative one-class-per-genus verdict by exact enumeration.
+
+    Raises ValueError for an invalid d or |d| above forms.ENUMERATION_LIMIT.
+    """
     return forms.genus_report(d, factors=factors)
 
 

@@ -8,19 +8,18 @@ from mpmath import mp, mpf
 from onegenus import analytic, forms
 from onegenus.analytic import (
     AuxiliaryK,
-    a0_sum,
     c_value,
     choose_k,
     form_character_sum,
     fundamental_unit,
     l2_series_truncated,
-    l_values,
     principal_term,
     real_class_number,
     remainder_bound,
     verify_identity,
 )
 from onegenus.arith import kronecker, sigma
+from onegenus.errors import InternalCheckError
 
 
 def rel_close(x, y, tol):
@@ -68,6 +67,25 @@ class TestChooseK:
             assert aux.k == aux.q1 * aux.q2
             assert aux.k % 4 == 1
             assert math.gcd(aux.k, n) == 1
+
+
+class TestAuxiliaryK:
+    def test_rejects_non_prime_factors(self):
+        # k = 5 is prime, so A0 would not vanish; 21 = 3*7 gives three primes
+        with pytest.raises(ValueError, match="odd primes"):
+            AuxiliaryK(1, 5, 5)
+        with pytest.raises(ValueError, match="odd primes"):
+            AuxiliaryK(5, 21, 105)
+        with pytest.raises(ValueError, match="odd primes"):
+            AuxiliaryK(2, 3, 6)
+
+    def test_rejects_bad_shape(self):
+        with pytest.raises(ValueError, match="q1 < q2"):
+            AuxiliaryK(7, 3, 21)
+        with pytest.raises(ValueError, match="q1\\*q2"):
+            AuxiliaryK(3, 7, 22)
+        with pytest.raises(ValueError, match="1 mod 4"):
+            AuxiliaryK(3, 5, 15)
 
 
 class TestFundamentalUnit:
@@ -123,26 +141,35 @@ class TestRealClassNumber:
 
 
 class TestLValues:
+    """Both routes to each L-value, as verify_identity reports them."""
+
     def test_example_values(self):
-        aux = AuxiliaryK(3, 7, 21)
-        lv = l_values(-20, aux)
-        assert rel_close(lv.l1_formula, 0.68378, 1e-3)
-        assert rel_close(lv.l2_formula, 1.22639, 1e-3)
-        assert lv.h_kd == 8  # h(-420) by enumeration
+        r = verify_identity(-20, AuxiliaryK(3, 7, 21))
+        assert rel_close(r.l1_formula, 0.68378, 1e-3)
+        assert rel_close(r.l2_formula, 1.22639, 1e-3)
+        assert r.h_kd == 8  # h(-420) by enumeration
 
     def test_dual_route_agreement(self):
         for d in (-20, -4, -24, -163, -51):
-            lv = l_values(d, choose_k(d))
-            assert lv.l1_gap <= 1e-8
-            assert lv.l2_gap <= 1e-8
+            r = verify_identity(d)
+            assert rel_close(r.l1_series, r.l1_formula, 1e-8), d
+            assert rel_close(r.l2_series, r.l2_formula, 1e-8), d
+            assert r.series_rel_gap <= 1e-8, d
+
+    @pytest.mark.parametrize("route", ["l1_series", "l2_series"])
+    def test_route_disagreement_is_internal_error(self, monkeypatch, route):
+        exact = getattr(analytic, route)
+        monkeypatch.setattr(analytic, route, lambda *a, **kw: exact(*a, **kw) * (1 + mpf(10) ** -6))
+        with pytest.raises(InternalCheckError, match="routes disagree"):
+            verify_identity(-20)
 
     def test_rejects_non_fundamental(self):
-        with pytest.raises(ValueError):
-            l_values(-12, choose_k(-12))
+        with pytest.raises(ValueError, match="fundamental"):
+            verify_identity(-12, choose_k(-12))
 
     def test_rejects_shared_factor(self):
-        with pytest.raises(ValueError):
-            l_values(-20, AuxiliaryK(5, 13, 65))
+        with pytest.raises(ValueError, match="coprime"):
+            verify_identity(-20, AuxiliaryK(5, 13, 65))
 
     def test_truncated_series_within_tail_bound(self):
         value, tail = l2_series_truncated(21, -20, 100000)
@@ -227,23 +254,6 @@ class TestPrincipalAndRemainder:
         vals = [float(remainder_bound(-n, AuxiliaryK(3, 7, 21)))
                 for n in (4, 8, 11, 19, 43, 67, 163)]
         assert vals == sorted(vals, reverse=True)
-
-
-class TestA0Sum:
-    def test_zero_for_two_prime_k(self):
-        assert float(a0_sum(-20, AuxiliaryK(3, 7, 21))) == 0.0
-        assert float(a0_sum(-24, AuxiliaryK(7, 11, 77))) == 0.0
-
-    def test_prime_power_branch(self):
-        # standalone evaluator at k = 9: -(4 pi / (9 sqrt|d|)) log 3 * sum chi(a)
-        d = -20
-        total = sum(kronecker(9, f.a) for f in forms.enumerate_reduced(d))
-        with mp.workdps(30):
-            expect = -4 * mp.pi / (9 * mp.sqrt(20)) * total * mp.log(3)
-        assert rel_close(a0_sum(d, 9), expect, 1e-12)
-
-    def test_zero_for_two_prime_int(self):
-        assert float(a0_sum(-20, 77)) == 0.0
 
 
 class TestVerifyIdentity:

@@ -7,7 +7,6 @@ from onegenus import bounds, forms
 from onegenus.arith import factorize, omega, sigma
 from onegenus.bounds import (
     WaldschmidtParams,
-    arith_bounds,
     beta_height_bound,
     bound_report,
     final_inequality_check,
@@ -30,15 +29,14 @@ def rel_close(x, y, tol):
 
 class TestArithBounds:
     def test_omega_example(self):
-        r = arith_bounds(10**6)
-        assert rel_close(r.omega_rhs, 8.18, 1e-2)
-        assert omega(10**6) == 2 <= float(r.omega_rhs)
+        rhs = robin_omega_bound(10**6)
+        assert rel_close(rhs, 8.18, 1e-2)
+        assert omega(10**6) == 2 <= float(rhs)
 
     def test_sigma_example(self):
-        r = arith_bounds(20)
-        assert rel_close(r.sigma_rhs, 50.9, 1e-2)
-        assert sigma(20) == 42 <= float(r.sigma_rhs)
-        assert r.omega_rhs is None  # below the omega bound's n >= 26 domain
+        rhs = robin_sigma_bound(20)
+        assert rel_close(rhs, 50.9, 1e-2)
+        assert sigma(20) == 42 <= float(rhs)
 
     def test_pn_example(self):
         assert rel_close(rosser_pn_bound(6), 14.25, 1e-3)
@@ -50,8 +48,6 @@ class TestArithBounds:
             robin_sigma_bound(2)
         with pytest.raises(ValueError):
             rosser_pn_bound(5)
-        with pytest.raises(ValueError):
-            arith_bounds(2)
 
 
 class TestLemmaKBounds:
@@ -115,10 +111,6 @@ class TestWaldschmidt:
             expect = mpf(5e8) * 4096 * (s1 / 2) * t**2
         assert rel_close(e, expect, 1e-10)
         assert rel_close(e, 1.03e18, 5e-2)
-
-    def test_t_forms_agree_at_default_degrees(self):
-        params = WaldschmidtParams.instantiate(BIG)
-        assert rel_close(params.t_value, params.t_instantiated(), 1e-12)
 
     def test_below_simplified_exponent(self):
         e = waldschmidt_lower(WaldschmidtParams.instantiate(BIG))

@@ -28,6 +28,11 @@ class TestCheck:
         assert code == 1
         assert "error" in err
 
+    def test_check_too_large(self, cli):
+        code, _, err = cli("check", "--", "-10000000004")
+        assert code == 1
+        assert "too large for enumeration" in err
+
     def test_byte_stable(self, cli):
         a = cli("check", "-9999999")
         b = cli("check", "-9999999")
@@ -105,6 +110,32 @@ class TestExitCodes:
         monkeypatch.setattr(climod.analytic, "verify_identity", boom)
         assert climod.main(["identity", "--d", "-20"]) == 3
         assert "internal verification failure" in capsys.readouterr().err
+
+
+class TestIntegerOptions:
+    def test_limit_reaches_config_exactly(self, monkeypatch):
+        # 1.2345678901234567e18 is not a double; a float round trip gives ...768
+        from onegenus import cli as climod
+        from onegenus.sieve import SieveOutcome
+
+        seen = []
+
+        def stop(config, **kwargs):
+            seen.append(config)
+            return SieveOutcome([], 0, 0, {}, config, completed=False)
+
+        monkeypatch.setattr(climod.sieve, "run_sieve", stop)
+        assert climod.main(["sieve", "--limit", "1.2345678901234567e18"]) == 0
+        assert climod.main(["sieve", "--limit", "98e17", "--small-cutoff", "1.2e7"]) == 0
+        assert seen[0].limit == 1234567890123456700
+        assert (seen[1].limit, seen[1].small_cutoff) == (98 * 10**17, 12 * 10**6)
+
+    @pytest.mark.parametrize("text", ["1.5", "12abc", "1e99999999"])
+    def test_non_integer_limit_is_usage_error(self, capsys, text):
+        from onegenus import cli as climod
+
+        assert climod.main(["sieve", "--limit", text]) == 1
+        assert "--limit" in capsys.readouterr().err
 
 
 class TestUsage:

@@ -1,0 +1,73 @@
+"""Property tests: invariants that must survive any refactor of forms, sieve
+witnesses, Kronecker symbols and the auxiliary modulus.
+
+Examples are derandomized and bounded so the suite stays fast and repeatable.
+"""
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from onegenus import survivors
+from onegenus.analytic import choose_k
+from onegenus.arith import is_prime, kronecker, primes_up_to
+from onegenus.forms import QuadForm, enumerate_reduced, reduce_form
+from onegenus.sieve import witness_form
+
+PROPERTY = settings(derandomize=True, deadline=None, database=None, max_examples=150)
+
+CENSUS_LIMIT = 2000
+CENSUS = survivors.ambiguous_census(CENSUS_LIMIT)
+
+# |d| = 0 or 3 (mod 4), |d| >= 3
+abs_discriminants = st.integers(1, 10**9).map(lambda i: 4 * (i // 2) + (3 if i % 2 else 0))
+
+
+@st.composite
+def positive_forms(draw):
+    a = draw(st.integers(1, 500))
+    b = draw(st.integers(-2000, 2000))
+    c = draw(st.integers(b * b // (4 * a) + 1, b * b // (4 * a) + 5000))
+    return QuadForm(a, b, c)
+
+
+@PROPERTY
+@given(positive_forms())
+def test_reduce_form_is_reduced_idempotent_and_keeps_discriminant(f):
+    g = reduce_form(f)
+    assert g.is_reduced()
+    assert g.discriminant() == f.discriminant()
+    assert reduce_form(g) == g
+
+
+@PROPERTY
+@given(st.integers(3, CENSUS_LIMIT).filter(lambda n: n % 4 in (0, 3)))
+def test_enumeration_matches_census(n):
+    h, amb = CENSUS
+    fs = enumerate_reduced(-n)
+    assert len(fs) == h[n]
+    assert sum(f.is_ambiguous() for f in fs) == amb[n]
+
+
+@PROPERTY
+@given(st.integers(-10**6, 10**6), st.integers(-10**6, 10**6), st.integers(1, 10**6))
+def test_kronecker_multiplicative_in_top(a, b, n):
+    assert kronecker(a * b, n) == kronecker(a, n) * kronecker(b, n)
+
+
+@PROPERTY
+@given(abs_discriminants, st.sampled_from(primes_up_to(1009)[1:]))
+def test_witness_form_certifies(n, p):
+    assume(4 * p * p < n and n % p and kronecker(-n, p) == 1)
+    w = witness_form(-n, p)
+    assert w.reduced_nonambiguous
+    assert w.form.discriminant() == -n
+    assert w.form.is_reduced() and not w.form.is_ambiguous()
+
+
+@PROPERTY
+@given(abs_discriminants)
+def test_choose_k_gives_two_distinct_odd_primes(n):
+    aux = choose_k(-n)
+    assert aux.q1 != aux.q2
+    for q in (aux.q1, aux.q2):
+        assert q % 2 and is_prime(q) and n % q
+    assert aux.k == aux.q1 * aux.q2 and aux.k % 4 == 1

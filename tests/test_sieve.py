@@ -225,6 +225,18 @@ class TestCheckpoint:
         with pytest.raises(CheckpointMismatch):
             run_sieve(other, checkpoint_path=ck, resume=True)
 
+    def test_resume_follows_outer_index(self, tmp_path, small_outcome):
+        ck = tmp_path / "ck.json"
+        run_sieve(SieveConfig(**SMALL), checkpoint_path=str(ck), max_chunks=3)
+        data = json.loads(ck.read_text())
+        ck.write_text(json.dumps({**data, "chunks_done": 0}))  # informational only
+        resumed = run_sieve(SieveConfig(**SMALL), checkpoint_path=str(ck), resume=True)
+        _same_outcome(resumed, small_outcome)
+
+        ck.write_text(json.dumps({**data, "outer_index": 10**6}))  # ends no chunk
+        with pytest.raises(CheckpointMismatch, match="outer_index"):
+            run_sieve(SieveConfig(**SMALL), checkpoint_path=str(ck), resume=True)
+
     def test_missing_checkpoint_rejected(self, tmp_path):
         with pytest.raises(CheckpointMismatch):
             run_sieve(SieveConfig(**SMALL), checkpoint_path=str(tmp_path / "no.json"),
@@ -269,6 +281,83 @@ class TestMultiBlockStream:
         resumed = run_sieve(SieveConfig(**SMALL), checkpoint_path=ck, resume=True)
         assert resumed.completed
         _same_outcome(resumed, small_outcome)
+
+
+class TestChunkSpans:
+    def test_default_products_bounded_by_word_budget(self):
+        n_outer = math.prod((p + 1) // 2 for p in sieve.DEFAULT_P1)
+        n_inner = math.prod((p + 1) // 2 for p in sieve.DEFAULT_P2)
+        assert (n_outer, n_inner) == (90720, 606735360)
+        spans = sieve._chunk_spans(n_outer, n_inner)
+        assert spans[0][0] == 0 and spans[-1][1] == n_outer
+        assert all(a[1] == b[0] for a, b in zip(spans, spans[1:]))
+        assert all(0 < (hi - lo) * n_inner <= max(n_inner, 1 << 32) for lo, hi in spans)
+
+    def test_outer_residue_larger_than_budget(self):
+        assert sieve._chunk_spans(3, 1 << 33) == [(0, 1), (1, 2), (2, 3)]
+
+    @pytest.mark.parametrize("params", [SMALL, TestMultiBlockStream.PIPELINE, dict(
+        p1_primes=(3, 5, 7, 11, 13, 17), p2_primes=(19, 23, 29), limit=10**8,
+    )], ids=["small", "pipeline", "criterion8"])
+    def test_small_configs_keep_the_64_way_split(self, params):
+        runner = sieve._Runner(SieveConfig(**params))
+        n_outer = runner.n_outer
+        size = -(-n_outer // 64)
+        expect = [(lo, min(lo + size, n_outer)) for lo in range(0, n_outer, size)]
+        assert sieve._chunk_spans(n_outer, runner.n_inner) == expect
+
+    def test_word_budget_keeps_outcome(self, monkeypatch, tmp_path):
+        # 144 outer residues: the 64-way split takes 3 per chunk, a budget of
+        # one outer residue's words takes 1
+        params = dict(p1_primes=(3, 5, 7, 11), p2_primes=(13, 17),
+                      sieve_primes=(19, 23, 29, 31, 37, 41, 43, 47),
+                      limit=10**6, small_cutoff=10**4)
+        whole = run_sieve(SieveConfig(**params))
+        runner = sieve._Runner(SieveConfig(**params))
+        monkeypatch.setattr(sieve, "_CHUNK_WORDS", runner.n_inner)
+        assert len(sieve._chunk_spans(runner.n_outer, runner.n_inner)) == runner.n_outer == 144
+        ck = tmp_path / "ck.json"
+        partial = run_sieve(SieveConfig(**params), checkpoint_path=str(ck), max_chunks=100)
+        assert json.loads(ck.read_text())["outer_index"] == 100 and not partial.completed
+        _same_outcome(run_sieve(SieveConfig(**params), checkpoint_path=str(ck), resume=True), whole)
+
+
+class TestTopOfRange:
+    """One block at |d| ~ 9.8*10^18, where limit - a no longer fits in int64."""
+
+    @pytest.mark.parametrize("sieve_primes", [None, (53,)], ids=["default", "one-prime"])
+    def test_block_matches_python_ints(self, sieve_primes):
+        params = {} if sieve_primes is None else {"sieve_primes": sieve_primes}
+        config = SieveConfig(limit=98 * 10**17, **params)
+        runner = sieve._Runner(config)
+        m = runner.m
+        a = runner.outer_base[runner.n_outer - 1] + runner._gen_contrib(0, 2048)
+        out: list[int] = []
+        tally = np.zeros(len(runner.primes), dtype=np.int64)
+        valid = runner._sieve_block(a, out, tally)
+
+        luts = {p: sieve.eliminated_residues(p) for p in config.p1_primes + config.p2_primes}
+        sieve_luts = [sieve.eliminated_residues(q) for q in runner.primes]
+        expect_valid, expect_out = 0, []
+        expect_tally = [0] * len(runner.primes)
+        for x in (int(v) % m for v in a):
+            assert not any(lut[x % p] for p, lut in luts.items())
+            for k in range(32):
+                n = x + k * m
+                if not (config.small_cutoff <= n <= config.limit and n % 4 in (0, 3)):
+                    continue
+                expect_valid += 1
+                hit = next((i for i, q in enumerate(runner.primes) if sieve_luts[i][n % q]), None)
+                if hit is None:
+                    expect_out.append(n)
+                else:
+                    expect_tally[hit] += 1
+        assert valid == expect_valid
+        assert 0 < expect_valid < 2048 * 32  # the top bit is valid only for a <= limit mod m
+        assert sorted(out) == sorted(expect_out)
+        assert tally.tolist() == expect_tally
+        if sieve_primes is not None:
+            assert expect_out
 
 
 class TestWitness:
