@@ -4,8 +4,12 @@ Machine-readable results go to stdout (or --out); progress and summaries go
 to stderr.  Reports are canonical: keys sorted, reals rendered at 12
 significant digits, so identical inputs give byte-identical outputs.
 
-Exit codes: 0 success, 1 usage error, 2 checkpoint mismatch on resume,
-3 internal verification failure (e.g. the two L-value routes disagreeing).
+Integer arguments (discriminants, primes, --limit, --small-cutoff, --max-n)
+take exact decimal or scientific notation: 98e17 is 9800000000000000000.
+
+Exit codes: 0 success, 1 usage error, 2 checkpoint missing, unreadable, of an
+older format or for another config on resume, 3 internal verification failure
+(e.g. the two L-value routes disagreeing).
 """
 from __future__ import annotations
 
@@ -144,7 +148,7 @@ def build_parser() -> _Parser:
     p.add_argument("--progress", action="store_true")
 
     p = sub.add_parser("check", help="full form-enumeration verdict for one discriminant")
-    p.add_argument("d", type=int)
+    p.add_argument("d", type=_int_arg)
     p.add_argument("--out", default=None)
 
     p = sub.add_parser("idoneal", help="scan n <= max-n for all-ambiguous -4n")
@@ -152,23 +156,23 @@ def build_parser() -> _Parser:
     p.add_argument("--out", default=None)
 
     p = sub.add_parser("identity", help="dual-route L-value identity report")
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--k", type=int, default=None)
+    p.add_argument("--d", type=_int_arg, required=True)
+    p.add_argument("--k", type=_int_arg, default=None)
     p.add_argument("--prec", type=int, default=analytic.DEFAULT_DPS, help="working precision in digits")
     p.add_argument("--out", default=None)
 
     p = sub.add_parser("bounds", help="evaluate every explicit bound at d")
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--P", type=int, default=None)
+    p.add_argument("--d", type=_int_arg, required=True)
+    p.add_argument("--P", type=_int_arg, default=None)
     p.add_argument("--out", default=None)
 
     p = sub.add_parser("threshold", help="largest-prime-factor threshold at d")
-    p.add_argument("--d", type=int, required=True)
+    p.add_argument("--d", type=_int_arg, required=True)
     p.add_argument("--out", default=None)
 
     p = sub.add_parser("witness", help="non-ambiguous witness form for d at prime p")
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--p", type=int, required=True)
+    p.add_argument("--d", type=_int_arg, required=True)
+    p.add_argument("--p", type=_int_arg, required=True)
     p.add_argument("--out", default=None)
     return parser
 

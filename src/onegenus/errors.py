@@ -2,7 +2,8 @@
 
 
 class CheckpointMismatch(RuntimeError):
-    """Resume attempted against a checkpoint written by a different config."""
+    """Resume attempted from a missing or unreadable checkpoint, or one written
+    by a different config."""
 
 
 class InternalCheckError(RuntimeError):

@@ -382,6 +382,29 @@ def _write_checkpoint(path: str, data: dict) -> None:
     os.replace(tmp, path)
 
 
+def _read_checkpoint(path: str | None, config: SieveConfig) -> dict:
+    """The resume state in path, checked against config; CheckpointMismatch otherwise."""
+    if not path or not os.path.exists(path):
+        raise CheckpointMismatch("resume requested but checkpoint file is missing")
+    try:
+        with open(path) as fh:
+            ck = json.load(fh)
+        if ck["config_hash"] != config.config_hash():
+            raise CheckpointMismatch(
+                f"checkpoint hash {ck['config_hash']} does not match config "
+                f"{config.config_hash()}"
+            )
+        ints = [ck["outer_index"], ck["stream_valid"], ck["words_processed"],
+                *ck["bit_tally"], *ck["survivors"]]
+    except (ValueError, KeyError, TypeError) as exc:
+        raise CheckpointMismatch(
+            f"checkpoint {path} cannot be resumed from (corrupt or older format): {exc!r}"
+        ) from None
+    if not all(type(v) is int for v in ints) or len(ck["bit_tally"]) != len(config.sieve_primes):
+        raise CheckpointMismatch(f"checkpoint {path} holds a field of the wrong type or length")
+    return ck
+
+
 def run_sieve(
     config: SieveConfig,
     workers: int = 1,
@@ -395,9 +418,15 @@ def run_sieve(
     Candidates below small_cutoff are emitted as survivors for direct
     checking; candidates in [small_cutoff, limit] are eliminated when some
     configured prime hits them, the elimination being credited to the
-    smallest such prime.  Deterministic for any worker count.  With
-    max_chunks set, stops early after that many outer-loop chunks (state goes
-    to the checkpoint; the partial outcome is flagged completed=False).
+    smallest such prime.  Deterministic for any worker count.
+
+    With checkpoint_path set, the one checkpoint file is replaced atomically
+    after each outer chunk and holds the whole resume state, stream survivors
+    included, so a crash at any instant leaves a file that resumes cleanly.
+    A checkpoint that is missing, unreadable, of an older format or for
+    another config raises CheckpointMismatch.  With max_chunks set, stops
+    after that many outer-loop chunks; the partial outcome is flagged
+    completed=False and skips the completion cross-checks.
     """
     if config.limit >= config.coverage:
         raise ValueError(
@@ -411,90 +440,57 @@ def run_sieve(
     bit_tally = np.zeros(len(config.sieve_primes), dtype=np.int64)
     stream_valid = 0
     words = 0
-    chunks_done = 0
+    done = 0
     chunks: list[tuple[int, int]] = []
-
-    need_stream = config.limit >= config.small_cutoff
     runner = None
-    if need_stream:
+    if config.limit >= config.small_cutoff:
         runner = _Runner(config)
         chunks = _chunk_spans(runner.n_outer, runner.n_inner)
 
-    surv_file = (checkpoint_path + ".survivors") if checkpoint_path else None
     if resume:
-        if not checkpoint_path or not os.path.exists(checkpoint_path):
-            raise CheckpointMismatch("resume requested but checkpoint file is missing")
-        with open(checkpoint_path) as fh:
-            ck = json.load(fh)
-        if ck.get("config_hash") != config.config_hash():
-            raise CheckpointMismatch(
-                f"checkpoint hash {ck.get('config_hash')} does not match config "
-                f"{config.config_hash()}"
-            )
+        ck = _read_checkpoint(checkpoint_path, config)
         # resume at the outer index the checkpoint recorded, which must end a chunk
         ends = [hi for _, hi in chunks]
         if ck["outer_index"] not in ends:
             raise CheckpointMismatch(f"checkpoint outer_index {ck['outer_index']} ends no chunk")
-        chunks_done = ends.index(ck["outer_index"]) + 1
-        stream_valid = int(ck["stream_valid"])
-        words = int(ck["words_processed"])
+        done = ends.index(ck["outer_index"]) + 1
+        stream_valid = ck["stream_valid"]
+        words = ck["words_processed"]
         bit_tally = np.array(ck["bit_tally"], dtype=np.int64)
-        if surv_file and os.path.exists(surv_file):
-            with open(surv_file) as fh:
-                stream_survivors = [int(line) for line in fh if line.strip()]
-    elif surv_file and os.path.exists(surv_file):
-        os.remove(surv_file)
-
-    def checkpoint(outer_index: int) -> None:
-        if not checkpoint_path:
-            return
-        eliminated_so_far = int(sum(p_tallies.values()) + bit_tally.sum())
-        _write_checkpoint(
-            checkpoint_path,
-            {
-                "config_hash": config.config_hash(),
-                "outer_index": outer_index,
-                "chunks_done": chunks_done,
-                "eliminated_count": eliminated_so_far,
-                "tested_count": int(direct.size) + valid_total,
-                "survivors_so_far_file": surv_file,
-                "per_prime_tally": {str(p): int(c) for p, c in p_tallies.items()},
-                "bit_tally": [int(x) for x in bit_tally],
-                "stream_valid": stream_valid,
-                "words_processed": words,
-            },
-        )
-
-    pending = chunks[chunks_done:]
-    stopped = False
-    if pending and max_chunks is not None and max_chunks <= 0:
-        stopped = True
-        pending = []
+        stream_survivors = ck["survivors"]
 
     def consume(result, span):
-        nonlocal stream_valid, words, chunks_done, bit_tally
+        nonlocal stream_valid, words, done, bit_tally
         surv, tally, sv, wd = result
         stream_survivors.extend(surv)
         bit_tally += tally
         stream_valid += sv
         words += wd
-        chunks_done += 1
-        if surv_file:
-            with open(surv_file, "a") as fh:
-                fh.writelines(f"{v}\n" for v in surv)
-        checkpoint(span[1])
+        done += 1
+        if checkpoint_path:
+            _write_checkpoint(
+                checkpoint_path,
+                {
+                    "config_hash": config.config_hash(),
+                    "outer_index": span[1],
+                    "stream_valid": stream_valid,
+                    "words_processed": words,
+                    "bit_tally": bit_tally.tolist(),
+                    "survivors": stream_survivors,
+                },
+            )
         if progress:
             print(
-                f"[sieve] chunk {chunks_done}/{len(chunks)} "
+                f"[sieve] chunk {done}/{len(chunks)} "
                 f"(outer {span[1]}/{runner.n_outer}), "
                 f"stream survivors so far: {len(stream_survivors)}",
                 file=sys.stderr,
             )
 
-    if pending:
-        budget = len(pending) if max_chunks is None else min(max_chunks, len(pending))
-        todo = pending[:budget]
-        stopped = budget < len(pending)
+    pending = chunks[done:]
+    todo = pending if max_chunks is None else pending[:max(0, max_chunks)]
+    completed = len(todo) == len(pending)
+    if todo:
         try:
             ctx = multiprocessing.get_context("fork")
         except ValueError:  # no fork on this platform; run sequentially
@@ -510,40 +506,26 @@ def run_sieve(
             for span in todo:
                 consume(runner.process_range(*span), span)
 
-    if stopped:
-        return SieveOutcome(
-            survivors=sorted(stream_survivors),
-            eliminated_count=int(sum(p_tallies.values()) + bit_tally.sum()),
-            tested_count=int(direct.size) + valid_total,
-            per_prime_tally={p: int(c) for p, c in p_tallies.items()},
-            config=config,
-            completed=False,
-            direct_count=int(direct.size),
-            words_processed=words,
-            stream_valid=stream_valid,
-        )
-
-    if need_stream and stream_valid != alive_total:
-        raise InternalCheckError(
-            f"stream covered {stream_valid} valid candidates, residue scan expected {alive_total}"
-        )
-
     # pass-through values lie below small_cutoff and stream survivors at or above it
     survivors = direct.tolist() + sorted(stream_survivors)
     tally = {p: int(c) for p, c in p_tallies.items()}
-    for q, c in zip(config.sieve_primes, bit_tally):
-        tally[q] = int(c)
-    eliminated = int(sum(tally.values()))
+    tally.update(zip(config.sieve_primes, bit_tally.tolist()))
+    eliminated = sum(tally.values())
     tested = int(direct.size) + valid_total
 
-    if tested != len(survivors) + eliminated:
-        raise InternalCheckError(
-            f"partition broken: tested {tested} != survivors {len(survivors)} + eliminated {eliminated}"
-        )
-    if tested != count_valid(config.limit):
-        raise InternalCheckError(
-            f"tested {tested} != closed-form count {count_valid(config.limit)}"
-        )
+    if completed:
+        if stream_valid != alive_total:
+            raise InternalCheckError(
+                f"stream covered {stream_valid} valid candidates, residue scan expected {alive_total}"
+            )
+        if tested != len(survivors) + eliminated:
+            raise InternalCheckError(
+                f"partition broken: tested {tested} != survivors {len(survivors)} + eliminated {eliminated}"
+            )
+        if tested != count_valid(config.limit):
+            raise InternalCheckError(
+                f"tested {tested} != closed-form count {count_valid(config.limit)}"
+            )
 
     return SieveOutcome(
         survivors=survivors,
@@ -551,7 +533,7 @@ def run_sieve(
         tested_count=tested,
         per_prime_tally=tally,
         config=config,
-        completed=True,
+        completed=completed,
         direct_count=int(direct.size),
         words_processed=words,
         stream_valid=stream_valid,

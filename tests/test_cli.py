@@ -138,6 +138,17 @@ class TestIntegerOptions:
         assert "--limit" in capsys.readouterr().err
 
 
+    def test_discriminant_takes_scientific_notation(self, cli):
+        a = cli("bounds", "--d", "98e17")
+        b = cli("bounds", "--d", "9800000000000000000")
+        assert a[0] == b[0] == 0 and a[1] == b[1]
+
+    def test_fractional_discriminant_is_usage_error(self, cli):
+        code, _, err = cli("check", "20.5")
+        assert code == 1
+        assert "not an integer" in err
+
+
 class TestUsage:
     def test_unknown_command(self, cli):
         code, _, _ = cli("frobnicate")
@@ -212,6 +223,18 @@ class TestSieveCli:
         code, _, _ = cli(*SIEVE_ARGS, "--out", fresh)
         assert code == 0
         assert open(out_csv, "rb").read() == open(fresh, "rb").read()
+
+    @pytest.mark.parametrize("edit", [
+        lambda text: "{" + text,
+        lambda text: json.dumps({k: v for k, v in json.loads(text).items() if k != "stream_valid"}),
+    ], ids=["not-json", "no-stream-valid"])
+    def test_unreadable_checkpoint_exits_2(self, cli, tmp_path, edit):
+        ck = tmp_path / "ck.json"
+        assert cli(*SIEVE_ARGS, "--checkpoint", str(ck), "--stop-after-chunks", "2")[0] == 0
+        ck.write_text(edit(ck.read_text()))
+        code, _, err = cli(*SIEVE_ARGS, "--checkpoint", str(ck), "--resume")
+        assert code == 2
+        assert "checkpoint mismatch" in err and "Traceback" not in err
 
     def test_limit_at_coverage_is_usage_error(self, cli):
         # 32*P1*P2 = 36960 lies just past the last candidate the stream covers

@@ -1,16 +1,20 @@
 """Property tests: invariants that must survive any refactor of forms, sieve
-witnesses, Kronecker symbols and the auxiliary modulus.
+witnesses, the sieve's CRT residue sets, Kronecker symbols and the auxiliary
+modulus.
 
 Examples are derandomized and bounded so the suite stays fast and repeatable.
 """
+import math
+
+import numpy as np
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from onegenus import survivors
+from onegenus import sieve, survivors
 from onegenus.analytic import choose_k
 from onegenus.arith import is_prime, kronecker, primes_up_to
 from onegenus.forms import QuadForm, enumerate_reduced, reduce_form
-from onegenus.sieve import witness_form
+from onegenus.sieve import SieveConfig, survivors_mod, witness_form
 
 PROPERTY = settings(derandomize=True, deadline=None, database=None, max_examples=150)
 
@@ -71,3 +75,42 @@ def test_choose_k_gives_two_distinct_odd_primes(n):
     for q in (aux.q1, aux.q2):
         assert q % 2 and is_prime(q) and n % q
     assert aux.k == aux.q1 * aux.q2 and aux.k % 4 == 1
+
+
+SMALL_ODD_PRIMES = primes_up_to(31)[1:]
+
+
+def brute_survivors(primes) -> list[int]:
+    """Residues mod prod(primes) that no prime eliminates, by direct filtering."""
+    a = np.arange(math.prod(primes))
+    bad = np.zeros(a.size, dtype=bool)
+    for p in primes:
+        bad |= sieve.eliminated_residues(p)[a % p]
+    return np.flatnonzero(~bad).tolist()
+
+
+@PROPERTY
+@given(st.lists(st.sampled_from(SMALL_ODD_PRIMES), unique=True, max_size=3))
+def test_survivors_mod_matches_residue_filter(primes):
+    assert survivors_mod(primes) == brute_survivors(primes)
+
+
+@PROPERTY
+@given(
+    st.lists(st.sampled_from(SMALL_ODD_PRIMES), unique=True, min_size=2, max_size=4),
+    st.data(),
+)
+def test_outer_plus_inner_words_are_the_crt_survivor_set(primes, data):
+    # every word outer_base[o] + inner contribution, generated block by block,
+    # is a residue mod P1*P2 surviving every prime of P1 and P2, exactly once
+    split = data.draw(st.integers(1, len(primes) - 1))
+    p1, p2 = primes[:split], primes[split:]
+    runner = sieve._Runner(SieveConfig(p1_primes=p1, p2_primes=p2, sieve_primes=(), limit=0))
+    block = data.draw(st.integers(1, runner.n_inner))
+    contrib = np.concatenate([
+        runner._gen_contrib(s, min(s + block, runner.n_inner))
+        for s in range(0, runner.n_inner, block)
+    ])
+    words = np.concatenate([(base + contrib) % runner.m for base in runner.outer_base]).tolist()
+    assert len(words) == len(set(words))
+    assert sorted(words) == survivors_mod(p1 + p2)

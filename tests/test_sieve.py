@@ -1,5 +1,6 @@
 import json
 import math
+import os
 import random
 
 import numpy as np
@@ -17,6 +18,15 @@ SMALL = dict(
     sieve_primes=(13, 17, 19, 23),
     limit=30000,
     small_cutoff=2200,
+)
+
+# the acceptance pipeline config: 24 outer residues, so 24 chunks
+PIPELINE = dict(
+    p1_primes=(3, 5, 7),
+    p2_primes=(11, 13, 17),
+    sieve_primes=(19, 23, 29, 31, 37, 41, 43, 47),
+    limit=10**6,
+    small_cutoff=10**4,
 )
 
 
@@ -209,10 +219,14 @@ class TestCheckpoint:
         ck = str(tmp_path / "ck.json")
         partial = run_sieve(SieveConfig(**SMALL), checkpoint_path=ck, max_chunks=3)
         assert not partial.completed
+        # a partial outcome has the shape of a complete one
+        assert partial.tested_count == small_outcome.tested_count
+        assert partial.per_prime_tally.keys() == small_outcome.per_prime_tally.keys()
+        direct = small_outcome.direct_count
+        assert partial.survivors[:direct] == small_outcome.survivors[:direct]
         data = json.loads(open(ck).read())
-        for key in ("config_hash", "outer_index", "eliminated_count", "tested_count",
-                    "survivors_so_far_file"):
-            assert key in data
+        assert set(data) == {"config_hash", "outer_index", "stream_valid", "words_processed",
+                             "bit_tally", "survivors"}
         resumed = run_sieve(SieveConfig(**SMALL), checkpoint_path=ck, resume=True)
         assert resumed.completed
         assert resumed.survivors == small_outcome.survivors
@@ -225,14 +239,10 @@ class TestCheckpoint:
         with pytest.raises(CheckpointMismatch):
             run_sieve(other, checkpoint_path=ck, resume=True)
 
-    def test_resume_follows_outer_index(self, tmp_path, small_outcome):
+    def test_resume_follows_outer_index(self, tmp_path):
         ck = tmp_path / "ck.json"
         run_sieve(SieveConfig(**SMALL), checkpoint_path=str(ck), max_chunks=3)
         data = json.loads(ck.read_text())
-        ck.write_text(json.dumps({**data, "chunks_done": 0}))  # informational only
-        resumed = run_sieve(SieveConfig(**SMALL), checkpoint_path=str(ck), resume=True)
-        _same_outcome(resumed, small_outcome)
-
         ck.write_text(json.dumps({**data, "outer_index": 10**6}))  # ends no chunk
         with pytest.raises(CheckpointMismatch, match="outer_index"):
             run_sieve(SieveConfig(**SMALL), checkpoint_path=str(ck), resume=True)
@@ -241,6 +251,57 @@ class TestCheckpoint:
         with pytest.raises(CheckpointMismatch):
             run_sieve(SieveConfig(**SMALL), checkpoint_path=str(tmp_path / "no.json"),
                       resume=True)
+
+    @pytest.mark.parametrize("edit", [
+        lambda d: "not json",
+        lambda d: json.dumps([d]),
+        lambda d: json.dumps({k: v for k, v in d.items() if k != "stream_valid"}),
+        lambda d: json.dumps({k: v for k, v in d.items() if k != "survivors"}),
+        lambda d: json.dumps({**d, "survivors": "12,15"}),
+        lambda d: json.dumps({**d, "bit_tally": 3}),
+        lambda d: json.dumps({**d, "words_processed": 1.5}),
+        lambda d: json.dumps({**d, "bit_tally": d["bit_tally"][:-1]}),
+    ], ids=["not-json", "not-object", "no-stream-valid", "no-survivors", "survivors-str",
+            "tally-int", "words-float", "tally-short"])
+    def test_unreadable_checkpoint_rejected(self, tmp_path, edit):
+        ck = tmp_path / "ck.json"
+        run_sieve(SieveConfig(**SMALL), checkpoint_path=str(ck), max_chunks=2)
+        ck.write_text(edit(json.loads(ck.read_text())))
+        with pytest.raises(CheckpointMismatch):
+            run_sieve(SieveConfig(**SMALL), checkpoint_path=str(ck), resume=True)
+
+    @pytest.mark.parametrize("params", [SMALL, PIPELINE], ids=["small", "pipeline"])
+    def test_crash_at_any_checkpoint_write_resumes(self, monkeypatch, tmp_path, params):
+        # a crash inside the k-th checkpoint write, before the file is
+        # replaced, must leave a checkpoint that resumes to the same outcome
+        whole = run_sieve(SieveConfig(**params))
+        runner = sieve._Runner(SieveConfig(**params))
+        n_chunks = len(sieve._chunk_spans(runner.n_outer, runner.n_inner))
+        replace = os.replace
+        for k in range(1, n_chunks + 1):
+            ck = tmp_path / f"ck{k}.json"
+            calls = []
+
+            def crash_on_kth(src, dst):
+                calls.append(dst)
+                if len(calls) == k:
+                    raise _Crash
+                replace(src, dst)
+
+            with monkeypatch.context() as patch, pytest.raises(_Crash):
+                patch.setattr(sieve.os, "replace", crash_on_kth)
+                run_sieve(SieveConfig(**params), checkpoint_path=str(ck))
+            if k == 1:  # nothing was checkpointed yet
+                with pytest.raises(CheckpointMismatch, match="missing"):
+                    run_sieve(SieveConfig(**params), checkpoint_path=str(ck), resume=True)
+                continue
+            resumed = run_sieve(SieveConfig(**params), checkpoint_path=str(ck), resume=True)
+            assert resumed.completed
+            _same_outcome(resumed, whole)
+
+
+class _Crash(Exception):
+    pass
 
 
 def _same_outcome(a, b):
@@ -256,14 +317,6 @@ class TestMultiBlockStream:
     the default products do at paper scale (~6*10^8 inner residues)."""
 
     BLOCK = 5  # leaves a short last block for both configs below
-
-    PIPELINE = dict(
-        p1_primes=(3, 5, 7),
-        p2_primes=(11, 13, 17),
-        sieve_primes=(19, 23, 29, 31, 37, 41, 43, 47),
-        limit=10**6,
-        small_cutoff=10**4,
-    )
 
     @pytest.mark.parametrize("params", [SMALL, PIPELINE], ids=["small", "pipeline"])
     def test_matches_default_block(self, monkeypatch, params):
@@ -296,7 +349,7 @@ class TestChunkSpans:
     def test_outer_residue_larger_than_budget(self):
         assert sieve._chunk_spans(3, 1 << 33) == [(0, 1), (1, 2), (2, 3)]
 
-    @pytest.mark.parametrize("params", [SMALL, TestMultiBlockStream.PIPELINE, dict(
+    @pytest.mark.parametrize("params", [SMALL, PIPELINE, dict(
         p1_primes=(3, 5, 7, 11, 13, 17), p2_primes=(19, 23, 29), limit=10**8,
     )], ids=["small", "pipeline", "criterion8"])
     def test_small_configs_keep_the_64_way_split(self, params):
