@@ -5,7 +5,8 @@ to stderr.  Reports are canonical: keys sorted, reals rendered at 12
 significant digits, so identical inputs give byte-identical outputs.
 
 Integer arguments (discriminants, primes, --limit, --small-cutoff, --max-n)
-take exact decimal or scientific notation: 98e17 is 9800000000000000000.
+take exact decimal or scientific notation: 98e17 is 9800000000000000000,
+and --d -98e17 is a value, not an option.
 
 Exit codes: 0 success, 1 usage error, 2 checkpoint missing, unreadable, of an
 older format or for another config on resume, 3 internal verification failure
@@ -17,6 +18,7 @@ import argparse
 import datetime
 import json
 import os
+import re
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -30,6 +32,12 @@ THREADS_ENV = "ONEGENUS_THREADS"
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # argparse takes only -12 and -1.5 for negative numbers, so "--d -98e17"
+        # would read -98e17 as an option; subparsers are built by this class too
+        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?$")
+
     def error(self, message):
         self.print_usage(sys.stderr)
         print(f"{self.prog}: error: {message}", file=sys.stderr)
@@ -158,7 +166,10 @@ def build_parser() -> _Parser:
     p = sub.add_parser("identity", help="dual-route L-value identity report")
     p.add_argument("--d", type=_int_arg, required=True)
     p.add_argument("--k", type=_int_arg, default=None)
-    p.add_argument("--prec", type=int, default=analytic.DEFAULT_DPS, help="working precision in digits")
+    p.add_argument(
+        "--prec", type=int, default=analytic.DEFAULT_DPS,
+        help=f"working precision in digits, at least {analytic.MIN_DPS}",
+    )
     p.add_argument("--out", default=None)
 
     p = sub.add_parser("bounds", help="evaluate every explicit bound at d")

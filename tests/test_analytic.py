@@ -26,6 +26,31 @@ def rel_close(x, y, tol):
     return abs(float(x) - float(y)) <= tol * abs(float(y))
 
 
+# the oracle runs once per d, 10 digits above the highest precision compared
+ORACLE_DPS = 110
+FUNDAMENTAL_UNDER_400 = [-n for n in range(3, 400) if n % 4 in (0, 3) and forms.is_fundamental(-n)]
+
+
+def _cot_sum_oracle(k, d, dps):
+    """(pi/m) sum_{0<r<m/2} chi(r) cot(pi r/m) term by term: one gcd, two
+    Kronecker symbols and one mpmath cot per r, as l2_series once did."""
+    m = k * (-d)
+    with mp.workdps(dps):
+        total = mpf(0)
+        for r in range(1, (m - 1) // 2 + 1):
+            if math.gcd(r, m) != 1:
+                continue
+            chi = kronecker(k, r) * kronecker(d, r)
+            if chi:
+                total += chi * mp.cot(mp.pi * r / m)
+        return mp.pi * total / m
+
+
+def _rel_error(value, exact):
+    with mp.workdps(2 * ORACLE_DPS):
+        return abs((value - exact) / exact)
+
+
 class TestKronecker:
     def test_examples(self):
         assert kronecker(5, 1) == 1
@@ -176,6 +201,31 @@ class TestLValues:
         exact = analytic.l2_series(21, -20)
         assert abs(float(value - exact)) <= float(tail)
         assert float(tail) < 1e-3
+
+
+class TestL2Series:
+    """The fixed-point cotangent sum against the term-by-term mpmath oracle."""
+
+    def test_exact_to_working_precision_small_range(self):
+        # the docstring's bound keeps the fixed-point sum within 2^-prec / 4 and
+        # the returned value rounds by at most 2^-prec more, well under 10^-dps
+        for d in FUNDAMENTAL_UNDER_400:
+            k = choose_k(d).k
+            exact = _cot_sum_oracle(k, d, ORACLE_DPS)
+            for dps in (15, 30, 60, 100):
+                err = _rel_error(analytic.l2_series(k, d, dps), exact)
+                assert err <= mpf(10) ** -dps, (d, dps, err)
+
+    def test_exact_to_working_precision_9811(self):
+        # m = 21 * 9811 = 206031: 103015 rotation steps
+        exact = _cot_sum_oracle(21, -9811, 70)
+        assert _rel_error(analytic.l2_series(21, -9811, 60), exact) <= mpf(10) ** -60
+
+    def test_rejects_non_periodic_characters(self):
+        with pytest.raises(ValueError, match="1 \\(mod 4\\)"):
+            analytic.l2_series(15, -20)
+        with pytest.raises(ValueError, match="discriminant"):
+            analytic.l2_series(21, -21)
 
 
 class TestCValue:

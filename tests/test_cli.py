@@ -70,6 +70,18 @@ class TestIdentity:
         code, _, err = cli("identity", "--d", "-20", "--k", "9")
         assert code == 1
 
+    @pytest.mark.parametrize("prec", ["0", "-3", "14"])
+    def test_precision_below_floor_is_usage_error(self, cli, prec):
+        code, _, err = cli("identity", "--d", "-20", f"--prec={prec}")
+        assert code == 1
+        assert "at least 15 digits" in err and "Traceback" not in err
+
+    def test_precision_at_floor(self, cli):
+        code, out, _ = cli("identity", "--d", "-20", "--prec", "15")
+        assert code == 0
+        data = json.loads(out)
+        assert data["dps"] == 15 and data["verdict"] is True
+
 
 class TestBoundsCli:
     def test_bounds_report(self, cli):
@@ -137,10 +149,15 @@ class TestIntegerOptions:
         assert climod.main(["sieve", "--limit", text]) == 1
         assert "--limit" in capsys.readouterr().err
 
-
     def test_discriminant_takes_scientific_notation(self, cli):
         a = cli("bounds", "--d", "98e17")
         b = cli("bounds", "--d", "9800000000000000000")
+        assert a[0] == b[0] == 0 and a[1] == b[1]
+
+    @pytest.mark.parametrize("command", ["threshold", "bounds"])
+    def test_negative_scientific_notation_is_a_value(self, cli, command):
+        a = cli(command, "--d", "-98e17")
+        b = cli(command, "--d=-98e17")
         assert a[0] == b[0] == 0 and a[1] == b[1]
 
     def test_fractional_discriminant_is_usage_error(self, cli):

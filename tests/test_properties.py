@@ -1,6 +1,6 @@
 """Property tests: invariants that must survive any refactor of forms, sieve
-witnesses, the sieve's CRT residue sets, Kronecker symbols and the auxiliary
-modulus.
+witnesses, the sieve's CRT residue sets, Kronecker symbols, the auxiliary
+modulus and the character table of the L-value sums.
 
 Examples are derandomized and bounded so the suite stays fast and repeatable.
 """
@@ -10,10 +10,10 @@ import numpy as np
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from onegenus import sieve, survivors
+from onegenus import analytic, sieve, survivors
 from onegenus.analytic import choose_k
 from onegenus.arith import is_prime, kronecker, primes_up_to
-from onegenus.forms import QuadForm, enumerate_reduced, reduce_form
+from onegenus.forms import QuadForm, enumerate_reduced, is_fundamental, reduce_form
 from onegenus.sieve import SieveConfig, survivors_mod, witness_form
 
 PROPERTY = settings(derandomize=True, deadline=None, database=None, max_examples=150)
@@ -75,6 +75,20 @@ def test_choose_k_gives_two_distinct_odd_primes(n):
     for q in (aux.q1, aux.q2):
         assert q % 2 and is_prime(q) and n % q
     assert aux.k == aux.q1 * aux.q2 and aux.k % 4 == 1
+
+
+FUNDAMENTAL_UNDER_2000 = [-n for n in range(3, 2000) if n % 4 in (0, 3) and is_fundamental(-n)]
+
+
+# each example makes 2m scalar Kronecker calls, m = k|d| up to ~2.5e5
+@settings(PROPERTY, max_examples=30)
+@given(st.sampled_from(FUNDAMENTAL_UNDER_2000))
+def test_character_table_is_the_odd_kronecker_product(d):
+    k = choose_k(d).k
+    m = k * -d
+    chi = np.concatenate(list(analytic._character_blocks(k, d, m)))
+    assert chi.tolist() == [kronecker(k, r) * kronecker(d, r) for r in range(m)]
+    assert (chi[:0:-1] == -chi[1:]).all()  # chi(m - r) = -chi(r)
 
 
 SMALL_ODD_PRIMES = primes_up_to(31)[1:]
