@@ -11,10 +11,8 @@ from .forms import (
     QuadForm,
     class_number,
     enumerate_reduced,
-    genus_count,
     genus_report,
     is_fundamental,
-    one_class_per_genus,
     reduce_form,
 )
 from .sieve import SieveConfig, SieveOutcome, run_sieve, witness_form
@@ -37,11 +35,9 @@ __all__ = [
     "enumerate_reduced",
     "full_check",
     "fundamental_unit",
-    "genus_count",
     "genus_report",
     "idoneal_scan",
     "is_fundamental",
-    "one_class_per_genus",
     "reduce_form",
     "run_sieve",
     "theorem_threshold",

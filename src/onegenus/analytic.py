@@ -14,6 +14,12 @@ two independent ways where possible:
   s = 1 for an odd character; a truncated series with a partial-summation
   tail bound is also available as a coarser third route).
 
+h(k) and log(eps) of the real field Q(sqrt(k)) come from one
+continued-fraction step on reduced irrationals (p + sqrt(k))/q, whose
+expansions are purely periodic: one period of omega = (b + sqrt(k))/2 gives
+eps = y omega + y', and h(k) is the number of cycles of the reduced
+irrationals of discriminant k, with no adjustment for the norm of eps.
+
 The cotangent sum runs in fixed point: Python integers scaled by 2^B, one
 rotation by e^(i pi/m) per term and one integer division per cotangent, with
 the character tabulated from one period of each Kronecker symbol.  Its error
@@ -87,24 +93,16 @@ def _validate_k(k: int) -> None:
         raise ValueError(f"k must be squarefree, got {k}")
 
 
-def pell_pm1(k: int) -> tuple[int, int, int]:
-    """Minimal (x, y, norm) with x^2 - k y^2 = norm in {1, -1}, by the
-    continued fraction of sqrt(k)."""
-    a0 = math.isqrt(k)
-    if a0 * a0 == k:
-        raise ValueError(f"{k} is a perfect square")
-    m, q, a = 0, 1, a0
-    num1, num = 1, a0
-    den1, den = 0, 1
-    while True:
-        m = q * a - m
-        q = (k - m * m) // q
-        a = (a0 + m) // q
-        if a == 2 * a0 and q == 1:
-            break
-        num1, num = num, a * num + num1
-        den1, den = den, a * den + den1
-    return num, den, num * num - k * den * den
+def _cf_step(k: int, s: int, p: int, q: int) -> tuple[int, int, int]:
+    """One continued-fraction step of (p + sqrt(k))/q, q > 0, with s = isqrt(k).
+
+    Returns the partial quotient a and the next complete quotient
+    (p' + sqrt(k))/q' = 1/((p + sqrt(k))/q - a), where q | k - p^2 makes q'
+    exact.
+    """
+    a = (p + s) // q
+    p = a * q - p
+    return a, p, (k - p * p) // q
 
 
 @dataclass(frozen=True)
@@ -121,39 +119,26 @@ def fundamental_unit(k: int, dps: int = DEFAULT_DPS) -> UnitData:
     """Fundamental unit eps = (x + y sqrt(k))/2 of Q(sqrt(k)) for squarefree
     k = 1 (mod 4).
 
-    The +-1 Pell solution gives the unit of Z[sqrt(k)]; if the full ring of
-    integers has a smaller unit it is its cube root, recovered numerically
-    and then verified exactly in integers.
+    With b the largest odd integer <= sqrt(k), omega = (b + sqrt(k))/2 is
+    reduced (omega > 1, -1 < conjugate < 0) and Z + Z omega is the ring of
+    integers, so the continued fraction of omega is purely periodic and one
+    period gives the unit: with y, y' the last two convergent denominators,
+    eps = y omega + y', i.e. x = y b + 2 y'.  x^2 - k y^2 = +-4 is checked
+    exactly.
     """
     _validate_k(k)
-    bx, by, _ = pell_pm1(k)
-    x, y = 2 * bx, 2 * by
-    # look for a half-integer cube root (x0 + y0 sqrt(k))/2 of bx + by sqrt(k);
-    # precision must cover the cube root's integer part plus rounding margin
-    guess_dps = max(40, int(bx.bit_length() * 0.302) // 3 + 40)
-    with mp.workdps(guess_dps):
-        e0 = mpf(bx) + mpf(by) * mp.sqrt(k)
-        c = mp.cbrt(e0)
-        inv = 1 / c
-        rk = mp.sqrt(k)
-        for xs in (c + inv, c - inv):
-            for ys in ((c + inv) / rk, (c - inv) / rk):
-                x0 = int(mp.nint(xs))
-                y0 = int(mp.nint(ys))
-                if x0 <= 0 or y0 <= 0:
-                    continue
-                if x0 * x0 - k * y0 * y0 not in (4, -4):
-                    continue
-                # exact check that ((x0 + y0 sqrt k)/2)^3 = bx + by sqrt k
-                if (
-                    x0 * (x0 * x0 + 3 * k * y0 * y0) == 8 * bx
-                    and y0 * (3 * x0 * x0 + k * y0 * y0) == 8 * by
-                ):
-                    x, y = x0, y0
-                    break
-            else:
-                continue
+    s = math.isqrt(k)
+    b = s if s % 2 else s - 1
+    p, q = b, 2
+    y, y1 = 0, 1
+    while True:
+        a, p, q = _cf_step(k, s, p, q)
+        y, y1 = a * y + y1, y
+        if (p, q) == (b, 2):
             break
+    x = y * b + 2 * y1
+    if x * x - k * y * y not in (4, -4):
+        raise InternalCheckError(f"period of (b + sqrt(k))/2 gave no unit for k={k}")
     log_dps = max(dps, int(x.bit_length() * 0.302) + 20)
     with mp.workdps(log_dps):
         log_eps = +mp.log((mpf(x) + mpf(y) * mp.sqrt(k)) / 2)
@@ -161,47 +146,34 @@ def fundamental_unit(k: int, dps: int = DEFAULT_DPS) -> UnitData:
 
 
 def real_class_number(k: int) -> int:
-    """Class number of Q(sqrt(k)) for squarefree k = 1 (mod 4), by counting
-    cycles of reduced indefinite forms and adjusting for the unit norm."""
+    """Class number h(k) of Q(sqrt(k)) for squarefree k = 1 (mod 4).
+
+    A reduced irrational (p + sqrt(k))/(2a), a > 0, is the reduced form
+    (a, p, (p^2 - k)/(4a)): p odd, a | (k - p^2)/4 and
+    sqrt(k) - p < 2a < sqrt(k) + p.  Two of them are equivalent exactly when
+    they lie on one cycle of the continued-fraction step, so h(k) is the
+    number of cycles, with no adjustment for the norm of the unit.
+    """
     _validate_k(k)
     s = math.isqrt(k)
     reduced = set()
-    for b in range(1, s + 1):
-        if (b - k) % 2:
-            continue
-        ac = (b * b - k) // 4  # negative
-        n = -ac
+    for p in range(1, s + 1, 2):
+        n = (k - p * p) // 4
         for aa in range(1, math.isqrt(n) + 1):
             if n % aa:
                 continue
-            for absa in (aa, n // aa):
-                # reduced iff sqrt(k) - b < 2|a| < sqrt(k) + b
-                if (2 * absa - b) ** 2 < k < (2 * absa + b) ** 2:
-                    c = ac // absa
-                    reduced.add((absa, b, c))
-                    reduced.add((-absa, b, -c))
-    seen = set()
+            for a in (aa, n // aa):
+                if s - p < 2 * a <= s + p:
+                    reduced.add((p, 2 * a))
     cycles = 0
-    for f in sorted(reduced):
-        if f in seen:
-            continue
+    while reduced:
         cycles += 1
-        g = f
-        while g not in seen:
-            seen.add(g)
-            _, b, c = g
-            # successor: (c, b', (b'^2 - k)/(4c)) with b' = -b (mod 2|c|) maximal <= isqrt(k)
-            t = 2 * abs(c)
-            b2 = s - (s + b) % t
-            g = (c, b2, (b2 * b2 - k) // (4 * c))
-            if g not in reduced and g not in seen:
+        start = g = reduced.pop()
+        while (g := _cf_step(k, s, *g)[1:]) != start:
+            if g not in reduced:
                 raise InternalCheckError(f"reduction step left the reduced set for k={k}")
-    _, _, norm = pell_pm1(k)
-    if norm == -1:
-        return cycles
-    if cycles % 2:
-        raise InternalCheckError(f"odd cycle count {cycles} with norm +1 for k={k}")
-    return cycles // 2
+            reduced.remove(g)
+    return cycles
 
 
 def l1_series(k: int, dps: int = DEFAULT_DPS) -> mpf:

@@ -77,14 +77,6 @@ def omega(n: int, factors: dict[int, int] | None = None) -> int:
     return len(factors if factors is not None else factorize(n))
 
 
-def sigma(n: int, factors: dict[int, int] | None = None) -> int:
-    """Sum of divisors of |n|."""
-    out = 1
-    for p, e in (factors if factors is not None else factorize(n)).items():
-        out *= (p ** (e + 1) - 1) // (p - 1)
-    return out
-
-
 def is_squarefree(n: int, factors: dict[int, int] | None = None) -> bool:
     n = abs(n)
     if n == 0:

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from mpmath import mp, mpf
 
 from . import forms
-from .arith import factorize, omega
+from .arith import factorize, is_prime, omega
 
 DEFAULT_DPS = 60
 
@@ -224,12 +224,13 @@ def hypothesis_checks(d: int, p: int, factors: dict[int, int] | None = None) -> 
     Flags: P > 2 sqrt(|d|) (exact integer comparison); no reduced form
     (a, b, a) exists and every form minimum divides d (verified by
     enumeration when |d| <= 10^8, else None); omega(d) <= log|d|/loglog|d|
-    when |d| is at or above the verified floor (else None).
+    when |d| is at or above the verified floor (else None).  ValueError
+    unless P is a prime dividing d.
     """
     forms.validate_discriminant(d)
     n = -d
-    if n % p:
-        raise ValueError(f"P = {p} must divide d = {d}")
+    if not is_prime(p) or n % p:
+        raise ValueError(f"P = {p} must be a prime dividing d = {d}")
     out: dict = {"d": d, "P": p, "p_gt_2sqrt": p * p > 4 * n}
     if n <= 10**8:
         fs = forms.enumerate_reduced(d)

@@ -20,14 +20,13 @@ import json
 import os
 import re
 import sys
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import __version__, analytic, bounds, forms, sieve, survivors
 from .arith import factorize, primes_up_to
 from .errors import CheckpointMismatch, InternalCheckError
 
-DEFAULT_DIGITS = 12
+DIGITS = 12
 THREADS_ENV = "ONEGENUS_THREADS"
 
 
@@ -44,11 +43,11 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
-def _canonical(value, digits: int):
+def _canonical(value):
     if isinstance(value, dict):
-        return {str(k): _canonical(v, digits) for k, v in value.items()}
+        return {str(k): _canonical(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
-        return [_canonical(v, digits) for v in value]
+        return [_canonical(v) for v in value]
     if isinstance(value, bool) or value is None:
         return value
     if isinstance(value, int):
@@ -56,28 +55,26 @@ def _canonical(value, digits: int):
     if isinstance(value, Fraction):
         return f"{value.numerator}/{value.denominator}"
     if isinstance(value, float):
-        return float(f"{value:.{digits}g}")
+        return float(f"{value:.{DIGITS}g}")
     try:  # mpmath mpf and numpy scalars
-        return float(f"{float(value):.{digits}g}")
+        return float(f"{float(value):.{DIGITS}g}")
     except (TypeError, ValueError):
         return str(value)
 
 
-def canonical_json(data, digits: int = DEFAULT_DIGITS) -> str:
-    return json.dumps(_canonical(data, digits), sort_keys=True, indent=2) + "\n"
+def canonical_json(data) -> str:
+    return json.dumps(_canonical(data), sort_keys=True, indent=2) + "\n"
 
 
-def write_report(data, path: str | None, fmt: str = "json", digits: int = DEFAULT_DIGITS) -> None:
-    """Serialize a report deterministically to path or stdout."""
+def write_report(data, path: str | None, fmt: str = "json") -> None:
+    """Serialize a report deterministically to path or stdout (fmt "json" or "csv")."""
     if fmt == "json":
-        text = canonical_json(data, digits)
-    elif fmt == "csv":
+        text = canonical_json(data)
+    else:
         header, rows = data
         lines = [",".join(header)]
         lines.extend(",".join(str(v) for v in row) for row in rows)
         text = "\n".join(lines) + "\n"
-    else:
-        raise ValueError(f"unknown format {fmt}")
     if path is None:
         sys.stdout.write(text)
     else:
@@ -86,22 +83,6 @@ def write_report(data, path: str | None, fmt: str = "json", digits: int = DEFAUL
                 fh.write(text)
         except OSError as exc:
             raise OSError(f"cannot write report to {path}: {exc}") from exc
-
-
-@dataclass
-class RunManifest:
-    """Echo of one command's configuration and outcome, enough to replay it."""
-
-    command: str
-    config: dict
-    config_hash: str
-    started: str
-    finished: str
-    outputs: dict = field(default_factory=dict)
-    summary: dict = field(default_factory=dict)
-
-    def to_json_dict(self) -> dict:
-        return dict(self.__dict__)
 
 
 def _int_arg(text: str) -> int:
@@ -225,22 +206,23 @@ def _cmd_sieve(args) -> int:
     )
     manifest_path = args.manifest or (args.out + ".manifest.json" if args.out else None)
     if manifest_path:
-        manifest = RunManifest(
-            command="sieve",
-            config=config.canonical(),
-            config_hash=config.config_hash(),
-            started=started,
-            finished=datetime.datetime.now(datetime.timezone.utc).isoformat(),
-            outputs={"survivors_csv": args.out, "checkpoint": args.checkpoint},
-            summary={
+        # echo of the configuration and outcome, enough to replay the run
+        manifest = {
+            "command": "sieve",
+            "config": config.canonical(),
+            "config_hash": config.config_hash(),
+            "started": started,
+            "finished": datetime.datetime.now(datetime.timezone.utc).isoformat(),
+            "outputs": {"survivors_csv": args.out, "checkpoint": args.checkpoint},
+            "summary": {
                 "tested_count": outcome.tested_count,
                 "eliminated_count": outcome.eliminated_count,
                 "survivor_count": len(outcome.survivors),
                 "direct_count": outcome.direct_count,
                 "words_processed": outcome.words_processed,
             },
-        )
-        write_report(manifest.to_json_dict(), manifest_path)
+        }
+        write_report(manifest, manifest_path)
     return 0
 
 

@@ -123,18 +123,6 @@ def is_fundamental(d: int) -> bool:
     return m % 4 in (2, 3) and is_squarefree(m)
 
 
-def genus_count(d: int) -> int:
-    """2^(omega(|d|) - 1) for fundamental d; rejects non-fundamental input."""
-    if not is_fundamental(d):
-        raise ValueError(f"genus count is only computed for fundamental discriminants, got {d}")
-    return 1 << (omega(d) - 1)
-
-
-def one_class_per_genus(d: int) -> bool:
-    """True iff every reduced form of discriminant d is ambiguous."""
-    return all(f.is_ambiguous() for f in enumerate_reduced(d))
-
-
 @dataclass
 class GenusReport:
     """Per-discriminant verdict: forms, class number, genus data, ambiguity census."""

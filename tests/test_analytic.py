@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 from mpmath import mp, mpf
+from sympy import divisor_sigma
 
 from onegenus import analytic, forms
 from onegenus.analytic import (
@@ -18,7 +19,7 @@ from onegenus.analytic import (
     remainder_bound,
     verify_identity,
 )
-from onegenus.arith import kronecker, sigma
+from onegenus.arith import kronecker
 from onegenus.errors import InternalCheckError
 
 
@@ -250,7 +251,7 @@ class TestCValue:
             aux = choose_k(-n)
             out = c_value(-n, aux)
             if isinstance(out, int):
-                assert abs(out) <= sigma(n), n
+                assert abs(out) <= divisor_sigma(n), n
 
 
 class TestPrincipalAndRemainder:

@@ -2,9 +2,10 @@ import math
 
 import pytest
 from mpmath import mp, mpf
+from sympy import divisor_sigma
 
 from onegenus import bounds, forms
-from onegenus.arith import factorize, omega, sigma
+from onegenus.arith import factorize, omega
 from onegenus.bounds import (
     WaldschmidtParams,
     beta_height_bound,
@@ -36,7 +37,7 @@ class TestArithBounds:
     def test_sigma_example(self):
         rhs = robin_sigma_bound(20)
         assert rel_close(rhs, 50.9, 1e-2)
-        assert sigma(20) == 42 <= float(rhs)
+        assert divisor_sigma(20) == 42 <= float(rhs)
 
     def test_pn_example(self):
         assert rel_close(rosser_pn_bound(6), 14.25, 1e-3)
@@ -200,9 +201,11 @@ class TestHypothesisChecks:
         assert r["p_gt_2sqrt"]
         assert r["omega_within"] is True and r["omega"] == 2
 
-    def test_rejects_non_divisor(self):
-        with pytest.raises(ValueError):
-            hypothesis_checks(-20, 7)
+    @pytest.mark.parametrize("p", [7, 0, -499, 998])
+    def test_rejects_non_divisor(self, p):
+        # P must be a prime dividing d: 7 does not divide 1996, 998 = 2 * 499
+        with pytest.raises(ValueError, match="prime dividing"):
+            hypothesis_checks(-1996, p)
 
 
 class TestBoundReport:

@@ -91,6 +91,11 @@ class TestBoundsCli:
         assert data["inequality_violated"] is True
         assert len(data["discrepancies"]) == 4
 
+    def test_bounds_rejects_p_that_is_not_a_prime_factor(self, cli):
+        code, _, err = cli("bounds", "--d", "-1996", "--P", "0")
+        assert code == 1
+        assert "prime dividing" in err and "Traceback" not in err
+
     def test_threshold(self, cli):
         code, out, _ = cli("threshold", "--d", "1000000")
         assert code == 0

@@ -1,6 +1,7 @@
 """Property tests: invariants that must survive any refactor of forms, sieve
 witnesses, the sieve's CRT residue sets, Kronecker symbols, the auxiliary
-modulus and the character table of the L-value sums.
+modulus, the character table of the L-value sums and the continued-fraction
+unit and class number of Q(sqrt(k)).
 
 Examples are derandomized and bounded so the suite stays fast and repeatable.
 """
@@ -9,10 +10,12 @@ import math
 import numpy as np
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from mpmath import mp
+from sympy.solvers.diophantine.diophantine import diop_DN
 
 from onegenus import analytic, sieve, survivors
 from onegenus.analytic import choose_k
-from onegenus.arith import is_prime, kronecker, primes_up_to
+from onegenus.arith import is_prime, is_squarefree, kronecker, primes_up_to
 from onegenus.forms import QuadForm, enumerate_reduced, is_fundamental, reduce_form
 from onegenus.sieve import SieveConfig, survivors_mod, witness_form
 
@@ -89,6 +92,34 @@ def test_character_table_is_the_odd_kronecker_product(d):
     chi = np.concatenate(list(analytic._character_blocks(k, d, m)))
     assert chi.tolist() == [kronecker(k, r) * kronecker(d, r) for r in range(m)]
     assert (chi[:0:-1] == -chi[1:]).all()  # chi(m - r) = -chi(r)
+
+
+def real_k(below):
+    """Squarefree k = 1 (mod 4) with 5 <= k < below."""
+    return st.integers(1, (below - 2) // 4).map(lambda i: 4 * i + 1).filter(is_squarefree)
+
+
+def _least_solution(k, n):
+    """Least (x, y), x, y > 0, with x^2 - k y^2 = n, from sympy's fundamental
+    solutions of each class: an oracle that shares no code with onegenus."""
+    return min(((abs(x), abs(y)) for x, y in diop_DN(k, n) if y), key=lambda s: s[1], default=None)
+
+
+@PROPERTY
+@given(real_k(10**6))
+def test_fundamental_unit_is_the_least_solution_of_x2_minus_ky2_pm4(k):
+    u = analytic.fundamental_unit(k)
+    assert (u.x, u.y) == (_least_solution(k, -4) or _least_solution(k, 4))
+
+
+@settings(PROPERTY, max_examples=40)
+@given(real_k(2000))
+def test_real_class_number_matches_the_l_value(k):
+    # class number formula L(1, chi_k) = 2 h(k) log(eps) / sqrt(k)
+    u = analytic.fundamental_unit(k)
+    with mp.workdps(30):
+        est = mp.sqrt(k) * analytic.l1_series(k, dps=30) / (2 * u.log_epsilon)
+    assert abs(est - analytic.real_class_number(k)) < 1e-6
 
 
 SMALL_ODD_PRIMES = primes_up_to(31)[1:]
