@@ -124,7 +124,8 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("sieve", help="run the bit-packed discriminant sieve")
     p.add_argument("--limit", type=_int_arg, required=True)
-    p.add_argument("--threads", type=int, default=int(os.environ.get(THREADS_ENV, "1")))
+    p.add_argument("--threads", type=int, default=None,
+                   help=f"worker processes (default: ${THREADS_ENV}, else 1)")
     p.add_argument("--checkpoint", default=None)
     p.add_argument("--out", default=None)
     p.add_argument("--manifest", default=None)
@@ -180,10 +181,17 @@ def _cmd_sieve(args) -> int:
     if args.small_cutoff is not None:
         overrides["small_cutoff"] = args.small_cutoff
     config = sieve.SieveConfig(limit=args.limit, **overrides)
+    threads = args.threads
+    if threads is None:
+        env = os.environ.get(THREADS_ENV, "1")
+        try:
+            threads = int(env)
+        except ValueError:
+            raise ValueError(f"{THREADS_ENV}={env!r} is not an integer") from None
     started = datetime.datetime.now(datetime.timezone.utc).isoformat()
     outcome = sieve.run_sieve(
         config,
-        workers=max(1, args.threads),
+        workers=max(1, threads),
         checkpoint_path=args.checkpoint,
         resume=args.resume,
         max_chunks=args.stop_after_chunks,

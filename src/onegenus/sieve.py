@@ -12,11 +12,20 @@ plus an inner one (surviving mod P2).  For each remaining sieve prime q a table
 of 32-bit words indexed by a mod q marks whether a + k*P1*P2 is eliminated by q
 in bit k, so a single OR applies q's condition to 32 candidates.
 
-The stream has one shape for every configuration.  Inner contributions are
-generated in blocks of _BLOCK words, each block once per outer chunk, and the
-block is shifted by every outer residue of the chunk and sieved.  Memory stays
-at one block however large P2 is, as at paper scale where the inner set holds
-~6*10^8 residues; survivors come out unordered and are sorted at the end.
+The stream has one shape for every configuration.  Each vectorized pass
+sieves one batch of about _BLOCK words, few enough for its arrays to stay in
+L2 cache.  Inner contributions are generated in blocks of at most _BLOCK
+words, each block once per outer chunk, and a pass stacks the block shifted
+by as many outer residues of the chunk as the batch holds: one at paper
+scale, where the inner set holds ~6*10^8 residues, and dozens when it holds
+a few thousand.  Memory stays at one batch however large P2 is; survivors
+come out unordered and are sorted at the end.
+
+In a pass the hit words start with every invalid bit set, so each prime's
+tally is the growth of their popcount and the survivors are their
+complement.  The first window of sieve primes, which tests every word, takes
+its residues from the outer and inner parts of each word as uint16 sums
+instead of an int64 modulo.
 
 Eliminations are only trusted for |d| >= small_cutoff (which must exceed
 4*q^2 for every configured prime); everything below the cutoff is passed
@@ -24,6 +33,7 @@ through as a survivor for direct checking.
 """
 from __future__ import annotations
 
+import datetime
 import hashlib
 import json
 import math
@@ -45,8 +55,9 @@ DEFAULT_P2 = (23, 29, 31, 37, 41, 43, 47)
 
 _N_CHUNKS = 64            # at most this many outer-loop chunks (checkpoints)
 _CHUNK_WORDS = 1 << 32    # and at most this many words each, unless one outer residue holds more
-_BLOCK = 1 << 19          # candidate words processed per vectorized pass
+_BLOCK = 1 << 16          # words per vectorized pass: its int64 arrays stay in L2
 _CADENCE = 8              # sieve primes between compactions of the alive words
+_ALL_HIT = np.uint32(0xFFFFFFFF)
 
 
 def default_sieve_primes() -> tuple[int, ...]:
@@ -288,6 +299,17 @@ class _Runner:
         self.primes = list(config.sieve_primes)
         self.tables = [tables[q] for q in self.primes]
 
+        # The first window's primes test every word, so process_range takes
+        # their residues from the split a = outer + inner - m*wrap, where
+        # wrap = (outer + inner >= m): (outer mod q) + (inner mod q) is below
+        # 2q, and adding q - (m mod q) for a wrapped word keeps it below 3q.
+        # That sum, a uint16, indexes the table repeated three times.
+        first = [q for q in self.primes[:_CADENCE] if 3 * q <= 0xFFFF]
+        self.first_q = np.array(first, dtype=np.int64)[:, None]
+        self.outer_res = (self.outer_base % self.first_q).astype(np.uint16)
+        self.wrap_fix = (self.first_q - m % self.first_q).astype(np.uint16)
+        self.tables3 = [np.tile(t, 3) for t in self.tables[:len(first)]]
+
         # For 0 <= a < m, bit k of word a is a valid candidate when
         # lo <= a + k*m <= limit and a + k*m = 0 or 3 (mod 4).  With
         # lo = lo_q*m + lo_r and limit = hi_q*m + hi_r that depends only on
@@ -317,39 +339,67 @@ class _Runner:
         return acc % self.m
 
     def process_range(self, lo: int, hi: int):
-        """Sieve outer indices [lo, hi); returns survivors and per-prime credits."""
+        """Sieve outer indices [lo, hi); returns survivors and per-prime credits.
+
+        Each pass sieves one batch of about _BLOCK words: a group of outer
+        residues, each shifted by the whole inner block.  Words, and so
+        survivors, come in the order (inner block, outer residue, inner word).
+        """
         survivors: list[int] = []
         tally = np.zeros(len(self.primes), dtype=np.int64)
         stream_valid = 0
         for s in range(0, self.n_inner, _BLOCK):
             contrib = self._gen_contrib(s, min(s + _BLOCK, self.n_inner))
-            for o in range(lo, hi):
-                stream_valid += self._sieve_block(self.outer_base[o] + contrib, survivors, tally)
+            inner_res = (contrib % self.first_q).astype(np.uint16)
+            group = max(1, _BLOCK // contrib.size)
+            for o in range(lo, hi, group):
+                top = min(o + group, hi)
+                a = (self.outer_base[o:top, None] + contrib).ravel()
+                res = self.outer_res[:, o:top, None] + inner_res[:, None, :]
+                res = res.reshape(len(res), a.size)
+                stream_valid += self._sieve_block(a, survivors, tally, res)
         return survivors, tally, stream_valid, (hi - lo) * self.n_inner
 
-    def _sieve_block(self, a: np.ndarray, out: list[int], tally: np.ndarray) -> int:
+    def _sieve_block(self, a: np.ndarray, out: list[int], tally: np.ndarray, res=None) -> int:
+        """Sieve the words a (each below 2m; neither a nor res is modified).
+
+        res[i] is a mod the i-th sieve prime q plus 0 or q, for the primes
+        of tables3; process_range gets it from the split of a, and it is
+        computed here when not given.  Appends the surviving candidates to
+        out, credits each elimination to the first prime that hits it in
+        tally, and returns the number of valid bits.  The hit words w start
+        with every invalid bit set, so a prime's credit is the growth of
+        popcount(w), and the survivors are ~w.
+        """
         m = self.m
-        a = np.where(a >= m, a - m, a)
-        vm = self.valid_masks[((a < self.lo_r) << 3) | ((a > self.hi_r) << 2) | (a & 3)]
+        if res is None:
+            res = (a % self.first_q).astype(np.uint16)
+        # in uint64, a - m wraps round to above a exactly when a < m
+        u = a.view(np.uint64)
+        a = u - np.uint64(m)
+        np.minimum(a, u, out=a)
+        res = res + (a != u) * self.wrap_fix
+        a = a.view(np.int64)
+        vm = self.valid_masks.take(((a < self.lo_r) << 3) | ((a > self.hi_r) << 2) | (a & 3))
         stream_valid = _popcount_sum(vm)
-        keep = np.flatnonzero(vm)
-        if keep.size == 0:
-            return stream_valid
-        a, vm = a[keep], vm[keep]
-        w = np.zeros(a.shape, dtype=np.uint32)
-        n_primes = len(self.primes)
-        for i in range(n_primes):
-            t = self.tables[i][a % self.primes[i]]
-            credited = t & ~w & vm
-            tally[i] += _popcount_sum(credited)
-            w |= t
-            if (i + 1) % _CADENCE == 0 and i + 1 < n_primes:
-                keep = np.flatnonzero((~w & vm) != 0)
+        w = ~vm
+        hit = WORD_WIDTH * a.size - stream_valid
+        for i, (q, table) in enumerate(zip(self.primes, self.tables)):
+            if i % _CADENCE == 0:
+                keep = np.flatnonzero(w != _ALL_HIT)
+                if keep.size < a.size:
+                    hit -= WORD_WIDTH * (a.size - keep.size)
+                    a, w, res = a[keep], w[keep], res[:, keep]
                 if keep.size == 0:
                     return stream_valid
-                if keep.size < a.size:
-                    a, vm, w = a[keep], vm[keep], w[keep]
-        rem = ~w & vm
+            if i < len(self.tables3):
+                w |= self.tables3[i].take(res[i])
+            else:
+                w |= table.take(a % q)
+            now = _popcount_sum(w)
+            tally[i] += now - hit
+            hit = now
+        rem = ~w
         for j in np.flatnonzero(rem):
             bits = int(rem[j])
             aj = int(a[j])
@@ -480,13 +530,20 @@ def run_sieve(
                 },
             )
         if progress:
+            # rate over this run's words, not the resumed ones; ETA to the end of the outer range
+            elapsed = time.perf_counter() - started
+            rate = (words - resumed_words) / elapsed if elapsed > 0 else math.inf
+            eta = round((runner.n_outer - span[1]) * runner.n_inner / rate)
             print(
                 f"[sieve] chunk {done}/{len(chunks)} "
                 f"(outer {span[1]}/{runner.n_outer}), "
-                f"stream survivors so far: {len(stream_survivors)}",
+                f"stream survivors so far: {len(stream_survivors)}, "
+                f"{rate:.3g} words/s, ETA {datetime.timedelta(seconds=eta)}",
                 file=sys.stderr,
             )
 
+    resumed_words = words
+    started = time.perf_counter()
     pending = chunks[done:]
     todo = pending if max_chunks is None else pending[:max(0, max_chunks)]
     completed = len(todo) == len(pending)

@@ -1,5 +1,7 @@
+import itertools
 import json
 import os
+import re
 
 import pytest
 
@@ -273,3 +275,52 @@ class TestSieveCli:
         assert cli(*SIEVE_ARGS, "--threads", "1", "--out", a)[0] == 0
         assert cli(*SIEVE_ARGS, "--threads", "4", "--out", b)[0] == 0
         assert open(a, "rb").read() == open(b, "rb").read()
+
+    def test_threads_env_bad_value_is_sieve_usage_error(self, monkeypatch, capsys):
+        from onegenus import cli as climod
+
+        monkeypatch.setenv(climod.THREADS_ENV, "two")
+        # only sieve reads the variable; every other subcommand ignores it
+        assert climod.main(["check", "20"]) == 0
+        capsys.readouterr()
+        assert climod.main(SIEVE_ARGS) == 1
+        err = capsys.readouterr().err
+        assert "ONEGENUS_THREADS='two' is not an integer" in err and "Traceback" not in err
+
+    def test_threads_env_sets_workers_unless_flag_given(self, monkeypatch):
+        from onegenus import cli as climod
+        from onegenus.sieve import SieveOutcome
+
+        seen = []
+
+        def stop(config, workers, **kwargs):
+            seen.append(workers)
+            return SieveOutcome([], 0, 0, {}, config, completed=False)
+
+        monkeypatch.setattr(climod.sieve, "run_sieve", stop)
+        monkeypatch.setenv(climod.THREADS_ENV, "3")
+        assert climod.main(SIEVE_ARGS) == 0
+        assert climod.main([*SIEVE_ARGS, "--threads", "2"]) == 0
+        monkeypatch.delenv(climod.THREADS_ENV)
+        assert climod.main(SIEVE_ARGS) == 0
+        assert seen == [3, 2, 1]
+
+    def test_progress_line_has_rate_and_eta(self, monkeypatch, capsys, tmp_path):
+        from onegenus import cli as climod
+        from onegenus import sieve
+
+        # a clock that advances one second per reading, so each chunk takes 1 s;
+        # SIEVE_ARGS has 6 outer residues of 24 inner words, one per chunk
+        ticks = itertools.count()
+        monkeypatch.setattr(sieve.time, "perf_counter", lambda: float(next(ticks)))
+        ck = str(tmp_path / "ck.json")
+        args = [*SIEVE_ARGS, "--progress", "--checkpoint", ck]
+        assert climod.main([*args, "--stop-after-chunks", "2"]) == 0
+        assert climod.main([*args, "--resume"]) == 0
+        line = re.compile(r"\[sieve\] chunk (\d)/6 \(outer \1/6\), stream survivors so far: \d+, "
+                          r"(\S+) words/s, ETA (\d+):(\d\d):(\d\d)")
+        found = [f for f in map(line.fullmatch, capsys.readouterr().err.splitlines()) if f]
+        assert [int(f[1]) for f in found] == [1, 2, 3, 4, 5, 6]
+        # after --resume the rate counts only the words of the resumed run
+        assert {f[2] for f in found} == {"24"}
+        assert [int(f[3]) * 3600 + int(f[4]) * 60 + int(f[5]) for f in found] == [5, 4, 3, 2, 1, 0]

@@ -1,7 +1,7 @@
 """Property tests: invariants that must survive any refactor of forms, sieve
-witnesses, the sieve's CRT residue sets, Kronecker symbols, the auxiliary
-modulus, the character table of the L-value sums and the continued-fraction
-unit and class number of Q(sqrt(k)).
+witnesses, the sieve's CRT residue sets and packed kernel, Kronecker
+symbols, the auxiliary modulus, the character table of the L-value sums and
+the continued-fraction unit and class number of Q(sqrt(k)).
 
 Examples are derandomized and bounded so the suite stays fast and repeatable.
 """
@@ -159,3 +159,63 @@ def test_outer_plus_inner_words_are_the_crt_survivor_set(primes, data):
     words = np.concatenate([(base + contrib) % runner.m for base in runner.outer_base]).tolist()
     assert len(words) == len(set(words))
     assert sorted(words) == survivors_mod(p1 + p2)
+
+
+@st.composite
+def sieve_configs(draw):
+    """A config with small P1, P2 and up to 12 sieve primes, so that compaction runs."""
+    odd_primes = st.sampled_from(primes_up_to(31)[1:])
+    small = draw(st.lists(odd_primes, unique=True, min_size=3, max_size=5))
+    split = draw(st.integers(1, len(small) - 1))
+    p1, p2 = small[:split], small[split:]
+    m = math.prod(small)
+    # 4q^2 <= 16m keeps the cutoff inside the coverage 32m
+    larger = [q for q in primes_up_to(math.isqrt(4 * m)) if q > 31]
+    sieve_primes = draw(st.permutations(larger))[:draw(st.integers(0, 12))]
+    cutoff = 4 * max(small + sieve_primes) ** 2 + 1 + draw(st.integers(0, 2 * m))
+    limit = draw(st.integers(min(cutoff, 32 * m - 1), 32 * m - 1))
+    return SieveConfig(p1_primes=p1, p2_primes=p2, sieve_primes=sieve_primes,
+                       limit=limit, small_cutoff=cutoff)
+
+
+@settings(PROPERTY, max_examples=100)
+@given(sieve_configs(), st.data())
+def test_sieve_block_matches_python_ints(config, data):
+    # any words below 2m: wrapped ones (a >= m), ones below the cutoff's
+    # residue lo_r and ones without a single valid bit included
+    runner = sieve._Runner(config)
+    m, lo_r = runner.m, runner.lo_r
+    word = st.one_of(st.integers(0, 2 * m - 1), st.integers(0, lo_r), st.integers(m, m + lo_r))
+    a = np.array(data.draw(st.lists(word, min_size=16, max_size=100)), dtype=np.int64)
+    given_words = a.copy()
+    # the first window's residues as process_range passes them, a mod q plus
+    # 0 or q, or else left to _sieve_block
+    res = None
+    if data.draw(st.booleans()):
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        lifts = rng.integers(0, 2, (len(runner.first_q), a.size))
+        res = (a % runner.first_q + runner.first_q * lifts).astype(np.uint16)
+    given_res = None if res is None else res.copy()
+    out: list[int] = []
+    tally = np.zeros(len(runner.primes), dtype=np.int64)
+    valid = runner._sieve_block(a, out, tally, res)
+    assert np.array_equal(a, given_words)
+    assert res is None or np.array_equal(res, given_res)
+
+    luts = [sieve.eliminated_residues(q) for q in runner.primes]
+    expect_valid, expect_out = 0, []
+    expect_tally = [0] * len(runner.primes)
+    for x in (int(v) % m for v in given_words):
+        for k in range(32):
+            n = x + k * m
+            if not (config.small_cutoff <= n <= config.limit and n % 4 in (0, 3)):
+                continue
+            expect_valid += 1
+            hit = next((i for i, q in enumerate(runner.primes) if luts[i][n % q]), None)
+            if hit is None:
+                expect_out.append(n)
+            else:
+                expect_tally[hit] += 1
+    assert valid == expect_valid
+    assert out == expect_out
+    assert tally.tolist() == expect_tally

@@ -326,6 +326,33 @@ class TestMultiBlockStream:
         assert n_inner > self.BLOCK and n_inner % self.BLOCK
         _same_outcome(run_sieve(SieveConfig(**params)), whole)
 
+    @pytest.mark.parametrize("params", [SMALL, PIPELINE], ids=["small", "pipeline"])
+    @pytest.mark.parametrize("batch", ["1", "5", "grouped", "default"])
+    def test_batch_size_keeps_outcome_and_checkpoint(self, monkeypatch, tmp_path, params, batch):
+        # two chunks of several outer residues each, so that a pass can stack
+        # outer residues; the outcome never depends on the words per pass,
+        # and the checkpoint bytes do not either while one block holds n_inner
+        monkeypatch.setattr(sieve, "_N_CHUNKS", 2)
+        config = SieveConfig(**params)
+        runner = sieve._Runner(config)
+        span = sieve._chunk_spans(runner.n_outer, runner.n_inner)[0][1]
+        default_ck = tmp_path / "default.json"
+        whole = run_sieve(config)
+        run_sieve(config, checkpoint_path=str(default_ck), max_chunks=1)
+        size = {"1": 1, "5": 5, "grouped": 5 * runner.n_inner + 1, "default": sieve._BLOCK}[batch]
+        if batch == "grouped":
+            assert span > 1 and span % (size // runner.n_inner)
+        monkeypatch.setattr(sieve, "_BLOCK", size)
+        _same_outcome(run_sieve(config), whole)
+        ck = tmp_path / "ck.json"
+        partial = run_sieve(config, checkpoint_path=str(ck), max_chunks=1)
+        assert not partial.completed
+        if runner.n_inner <= size:
+            assert ck.read_bytes() == default_ck.read_bytes()
+        else:
+            assert sorted(json.loads(ck.read_text())["survivors"]) == sorted(
+                json.loads(default_ck.read_text())["survivors"])
+
     def test_resume_from_checkpoint(self, monkeypatch, tmp_path, small_outcome):
         monkeypatch.setattr(sieve, "_BLOCK", self.BLOCK)
         ck = str(tmp_path / "ck.json")
@@ -456,6 +483,11 @@ class TestBenchmark:
             sieve_primes=(19, 23, 29, 31, 37, 41, 43, 47),
             limit=5 * 10**6, small_cutoff=10**4,
         )
-        r = sieve.benchmark_stream(config, min_words=1 << 13)
-        assert r["words"] >= 1 << 13 or r["words"] > 0
+        runner = sieve._Runner(config)
+        full = runner.n_outer * runner.n_inner
+        for min_words in (1 << 13, 1 << 40):
+            r = sieve.benchmark_stream(config, min_words=min_words)
+            # whole rows of n_inner words, at least min_words or else the full stream
+            assert r["words"] % runner.n_inner == 0
+            assert min(min_words, full) <= r["words"] <= full
         assert r["tests_per_second"] > 0
