@@ -241,6 +241,8 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_idoneal(args) -> int:
+    if args.max_n < 1:
+        raise ValueError(f"--max-n must be at least 1, got {args.max_n}")
     values = survivors.idoneal_scan(args.max_n)
     write_report((("n",), [(n,) for n in values]), args.out, fmt="csv")
     fundamental = [n for n in values if forms.is_fundamental(-4 * n)]

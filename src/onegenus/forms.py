@@ -7,19 +7,27 @@ fundamental discriminants, and the all-forms-ambiguous predicate that
 characterises discriminants with one class per genus.
 
 Reduction convention: |b| <= a <= c, with b >= 0 whenever |b| = a or a = c.
-All arithmetic is in plain Python integers, so discriminants far beyond the
-64-bit range are handled exactly.
+Forms, reduction and the genus data use plain Python integers, so
+discriminants far beyond the 64-bit range are handled exactly.  The one
+exception is the enumeration kernel, which runs in numpy int64: below
+ENUMERATION_LIMIT its largest intermediate is b^2 + |d| <= (4/3)|d| < 1.4e10,
+far inside the int64 range.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .arith import is_squarefree, omega
 
-# enumerate_reduced walks ~|d|/6 (a, b) pairs; refuse sizes that would spin
-# for hours instead of silently never returning.
+# enumerate_reduced walks ~|d|/12 (a, b) pairs (b >= 0 only); refuse sizes
+# that would spin for hours instead of silently never returning.
 ENUMERATION_LIMIT = 10**10
+# (a, b) pairs per numpy pass of enumerate_reduced: the pass's int64 arrays
+# stay in L2 cache.
+_PAIR_BLOCK = 1 << 13
 
 
 def validate_discriminant(d: int) -> int:
@@ -85,28 +93,37 @@ def reduce_form(f: QuadForm) -> QuadForm:
 def enumerate_reduced(d: int) -> list[QuadForm]:
     """All reduced forms of discriminant d, sorted by (a, -b).
 
-    Loops a up to sqrt(|d|/3) and b over the matching parity with |b| <= a;
-    c = (b^2 - d)/(4a) must be integral and >= a, and b < 0 is skipped on the
-    boundary cases so every class appears exactly once.
+    Walks the pairs 1 <= a <= sqrt(|d|/3), 0 <= b <= a with b = |d| (mod 2)
+    in numpy blocks of _PAIR_BLOCK pairs.  A pair is kept when 4a divides
+    b^2 + |d| and c = (b^2 + |d|)/(4a) >= a; it gives (a, b, c), and also
+    (a, -b, c) unless b = 0, b = a or c = a, so every class appears once.
     """
     validate_discriminant(d)
     n = -d
     if n > ENUMERATION_LIMIT:
         raise ValueError(f"|d| = {n} too large for enumeration (limit {ENUMERATION_LIMIT})")
-    parity = d & 1
-    out = []
-    for a in range(1, math.isqrt(n // 3) + 1):
+    parity = n & 1
+    a_all = np.arange(1, math.isqrt(n // 3) + 1, dtype=np.int64)
+    per_a = (a_all - parity) // 2 + 1  # b in parity, parity + 2, ..., <= a
+    first = np.concatenate(([0], np.cumsum(per_a)))  # first pair index of each a
+    total = int(first[-1])
+    kept = []
+    for lo in range(0, total, _PAIR_BLOCK):
+        hi = min(lo + _PAIR_BLOCK, total)
+        i0 = int(np.searchsorted(first, lo, side="right")) - 1
+        i1 = int(np.searchsorted(first, hi - 1, side="right"))
+        idx = np.repeat(np.arange(i0, i1), per_a[i0:i1])[lo - first[i0]:hi - first[i0]]
+        a = a_all[idx]
+        b = parity + 2 * (np.arange(lo, hi) - first[idx])
+        num = b * b + n
         four_a = 4 * a
-        b = -a + ((a + parity) % 2)
-        while b <= a:
-            num = b * b + n
-            if num % four_a == 0:
-                c = num // four_a
-                if c >= a and not (b < 0 and (-b == a or c == a)):
-                    out.append(QuadForm(a, b, c))
-            b += 2
-    out.sort(key=lambda f: (f.a, -f.b))
-    return out
+        keep = (num % four_a == 0) & (num >= four_a * a)
+        kept.append((a[keep], b[keep], num[keep] // four_a[keep]))
+    a, b, c = (np.concatenate(col) for col in zip(*kept))
+    twin = (b != 0) & (b != a) & (c != a)
+    a, b, c = np.concatenate((a, a[twin])), np.concatenate((b, -b[twin])), np.concatenate((c, c[twin]))
+    order = np.lexsort((-b, a))
+    return [QuadForm(*f) for f in zip(a[order].tolist(), b[order].tolist(), c[order].tolist())]
 
 
 def class_number(d: int) -> int:

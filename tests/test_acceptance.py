@@ -56,7 +56,8 @@ def test_criterion_2_sieve_vs_oracle(pipeline_outcome):
     for n in out.survivors:
         if survivors.full_check(-n).one_class_per_genus:
             flagged.add(n)
-    # independent oracle: whole-range ambiguous census (strided triple sweep)
+    # independent oracle: whole-range ambiguous census (periodic patterns per a,
+    # no form enumeration)
     oracle = set(survivors.ocpg_values(10**6))
     dt = time.time() - t0
     assert oracle <= set(out.survivors), "sieve dropped a one-class-per-genus value"

@@ -52,6 +52,13 @@ class TestIdoneal:
         # both tallies reported on stderr
         assert "fundamental" in err
 
+    @pytest.mark.parametrize("max_n", ["0", "-3"])
+    def test_max_n_below_one_is_usage_error(self, cli, max_n):
+        code, out, err = cli("idoneal", f"--max-n={max_n}")
+        assert code == 1
+        assert f"--max-n must be at least 1, got {max_n}" in err
+        assert out == "" and "Traceback" not in err
+
 
 class TestIdentity:
     def test_identity_minus20(self, cli):

@@ -2,28 +2,52 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from sympy.ntheory.residue_ntheory import sqrt_mod
 
 from onegenus import forms
 from onegenus.arith import omega
 from onegenus.forms import QuadForm, enumerate_reduced, genus_report, reduce_form
 
 
-def brute_reduced(d: int) -> list[tuple[int, int, int]]:
-    """Independent oracle: scan all triples with |b| <= a <= c directly."""
+def _enumerate_reduced_loop(d: int) -> list[QuadForm]:
+    """Reference for enumerate_reduced: a Python loop over every b of d's parity, |b| <= a."""
     n = -d
+    parity = d & 1
     out = []
     for a in range(1, math.isqrt(n // 3) + 1):
-        for b in range(-a, a + 1):
+        four_a = 4 * a
+        b = -a + ((a + parity) % 2)
+        while b <= a:
             num = b * b + n
-            if num % (4 * a):
-                continue
-            c = num // (4 * a)
-            if c < a:
-                continue
-            if b < 0 and (-b == a or c == a):
-                continue
-            out.append((a, b, c))
+            if num % four_a == 0:
+                c = num // four_a
+                if c >= a and not (b < 0 and (-b == a or c == a)):
+                    out.append(QuadForm(a, b, c))
+            b += 2
+    out.sort(key=lambda f: (f.a, -f.b))
+    return out
+
+
+def _enumerate_reduced_by_roots(d: int) -> list[tuple[int, int, int]]:
+    """Reference for large |d|: per a, the b in (-a, a] solving b^2 = d (mod 4a).
+
+    b is determined mod 2a, so each square root mod 4a names one b in (-a, a];
+    sympy finds the roots, no b is scanned.
+    """
+    n = -d
+    out = set()
+    for a in range(1, math.isqrt(n // 3) + 1):
+        for r in sqrt_mod(d % (4 * a), 4 * a, all_roots=True):
+            b = (r + a - 1) % (2 * a) - a + 1
+            c = (b * b + n) // (4 * a)
+            if c >= a and not (b < 0 and (-b == a or c == a)):
+                out.add((a, b, c))
     return sorted(out, key=lambda t: (t[0], -t[1]))
+
+
+valid_abs_d = st.integers(3, 10**9).map(lambda n: n if n % 4 in (0, 3) else n - n % 4)
 
 
 def random_reduced(rng, max_d=50000) -> QuadForm:
@@ -118,11 +142,26 @@ class TestEnumerate:
         for d in ds:
             if d % 4 not in (0, 1):
                 continue
-            got = [f.as_tuple() for f in enumerate_reduced(d)]
-            assert got == brute_reduced(d), d
+            assert enumerate_reduced(d) == _enumerate_reduced_loop(d), d
             for f in enumerate_reduced(d):
                 assert f.is_reduced()
                 assert f.discriminant() == d
+
+    def test_matches_loop_oracle_below_5000(self):
+        for n in range(3, 5000):
+            if n % 4 in (0, 3):
+                assert enumerate_reduced(-n) == _enumerate_reduced_loop(-n), n
+
+    @pytest.mark.parametrize("block", [1, 7])
+    def test_blocks_splitting_a_keep_the_list(self, monkeypatch, block):
+        monkeypatch.setattr(forms, "_PAIR_BLOCK", block)
+        for n in [n for n in range(3, 700) if n % 4 in (0, 3)] + [5460, 7392, 9811]:
+            assert enumerate_reduced(-n) == _enumerate_reduced_loop(-n), (block, n)
+
+    @settings(derandomize=True, deadline=None, database=None, max_examples=15)
+    @given(valid_abs_d)
+    def test_matches_root_oracle_up_to_1e9(self, n):
+        assert [f.as_tuple() for f in enumerate_reduced(-n)] == _enumerate_reduced_by_roots(-n)
 
     def test_rejects_invalid(self):
         with pytest.raises(ValueError):

@@ -7,6 +7,27 @@ import pytest
 from onegenus import forms, survivors
 
 
+def _census_strided(limit: int) -> tuple[np.ndarray, np.ndarray]:
+    """Reference for ambiguous_census: one strided add per (a, b) progression."""
+    h = np.zeros(max(limit + 1, 1), np.int32)
+    amb = np.zeros(max(limit + 1, 1), np.int32)
+    for a in range(1, math.isqrt(max(limit, 0) // 3) + 1):
+        fa = 4 * a
+        for b in range(0, a + 1):
+            start = 4 * a * a - b * b  # |d| at c = a
+            if start > limit:
+                continue
+            if b == 0 or b == a:
+                h[start::fa] += 1
+                amb[start::fa] += 1
+            else:
+                h[start] += 1
+                amb[start] += 1  # c = a gives the shape (a, b, a)
+                if start + fa <= limit:
+                    h[start + fa :: fa] += 2
+    return h, amb
+
+
 class TestFullCheck:
     def test_examples(self):
         rep = survivors.full_check(-420)
@@ -28,6 +49,31 @@ class TestFullCheck:
 
 
 class TestCensus:
+    @pytest.mark.parametrize("limit", [10**5, 10**6])
+    def test_equals_strided_oracle(self, limit):
+        h, amb = survivors.ambiguous_census(limit)
+        ho, ao = _census_strided(limit)
+        assert h.dtype == amb.dtype == np.int32
+        assert np.array_equal(h, ho) and np.array_equal(amb, ao)
+
+    @pytest.mark.parametrize("window", [1000, 4097])
+    def test_windows_splitting_rows_keep_the_arrays(self, monkeypatch, window):
+        monkeypatch.setattr(survivors, "_WINDOW", window)
+        for limit in (10**5, 123_457):
+            h, amb = survivors.ambiguous_census(limit)
+            ho, ao = _census_strided(limit)
+            assert np.array_equal(h, ho) and np.array_equal(amb, ao), (window, limit)
+
+    @pytest.mark.parametrize("limit", [-5, -1, 0, 1, 2, 3, 4, 7, 8, 11, 47])
+    def test_small_limits(self, limit):
+        h, amb = survivors.ambiguous_census(limit)
+        ho, ao = _census_strided(limit)
+        assert np.array_equal(h, ho) and np.array_equal(amb, ao), limit
+        expected = [n for n in range(3, limit + 1) if n % 4 in (0, 3) and ho[n] == ao[n]]
+        assert survivors.ocpg_values(limit) == expected
+        m = survivors.valid_mask(limit)
+        assert m.tolist() == [n >= 3 and n % 4 in (0, 3) for n in range(max(limit + 1, 1))]
+
     def test_matches_enumeration(self):
         h, amb = survivors.ambiguous_census(50000)
         rng = random.Random(13)
