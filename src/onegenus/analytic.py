@@ -11,8 +11,7 @@ two independent ways where possible:
   finite log-sin character sum;
 * L(1, chi_k chi_d): class number formula h(kd) pi / sqrt(k |d|) against the
   finite cotangent character sum (the exact value of the Dirichlet series at
-  s = 1 for an odd character; a truncated series with a partial-summation
-  tail bound is also available as a coarser third route).
+  s = 1 for an odd character).
 
 h(k) and log(eps) of the real field Q(sqrt(k)) come from one
 continued-fraction step on reduced irrationals (p + sqrt(k))/q, whose
@@ -255,35 +254,8 @@ def l2_series(k: int, d: int, dps: int = DEFAULT_DPS) -> mpf:
         return +value
 
 
-def l2_series_truncated(k: int, d: int, n_terms: int, dps: int = DEFAULT_DPS) -> tuple[mpf, mpf]:
-    """Truncated Dirichlet series for L(1, chi_k chi_d) with a rigorous tail bound.
-
-    The tail after N terms is at most 2*B/(N+1) where B is the exact maximum
-    of |sum_{n<=t} chi(n)| over one period.  Coarse but independent: it
-    shares only the character table with l2_series.
-    """
-    m = k * (-d)
-    chis = np.concatenate(list(_character_blocks(k, d, m))).tolist()
-    run = 0
-    best = 0
-    for n in range(1, m + 1):
-        run += chis[n % m]
-        best = max(best, abs(run))
-    if run != 0:
-        raise InternalCheckError("character does not sum to zero over a period")
-    with mp.workdps(dps):
-        total = mpf(0)
-        for n in range(1, n_terms + 1):
-            chi = chis[n % m]
-            if chi:
-                total += mpf(chi) / n
-        return total, mpf(2 * best) / (n_terms + 1)
-
-
-def form_character_sum(d: int, k: int, reduced: list[forms.QuadForm] | None = None) -> Fraction:
-    """Exact sum of chi_k(a)/a over the reduced forms of d (reduced, if given, lists them)."""
-    if reduced is None:
-        reduced = forms.enumerate_reduced(d)
+def form_character_sum(k: int, reduced: list[forms.QuadForm]) -> Fraction:
+    """Exact sum of chi_k(a)/a over the reduced forms of d, which reduced lists."""
     total = Fraction(0)
     for f in reduced:
         chi = kronecker(k, f.a)
@@ -292,38 +264,32 @@ def form_character_sum(d: int, k: int, reduced: list[forms.QuadForm] | None = No
     return total
 
 
-def c_value(d: int, aux: AuxiliaryK, char_sum: Fraction | None = None):
-    """Integer C with sum_f chi(a)/a = C/d when every minimum divides d;
-    otherwise the exact rational sum itself (char_sum, when already known)."""
-    s = form_character_sum(d, aux.k) if char_sum is None else char_sum
-    c = s * d
+def c_value(d: int, char_sum: Fraction):
+    """Integer C with char_sum = sum_f chi(a)/a = C/d when every minimum
+    divides d; otherwise char_sum itself."""
+    c = char_sum * d
     if c.denominator == 1:
         return int(c)
-    return s
+    return char_sum
 
 
-def principal_term(
-    d: int, aux: AuxiliaryK, dps: int = DEFAULT_DPS, char_sum: Fraction | None = None
-) -> tuple[mpf, Fraction]:
-    """(pi^2/6) * Q * sum_f chi(a)/a with Q = (q1^2-1)(q2^2-1)/(q1 q2)^2 exact."""
+def principal_term(aux: AuxiliaryK, char_sum: Fraction, dps: int = DEFAULT_DPS) -> tuple[mpf, Fraction]:
+    """(pi^2/6) * Q * char_sum with Q = (q1^2-1)(q2^2-1)/(q1 q2)^2 exact, where
+    char_sum is sum_f chi(a)/a over the reduced forms."""
     q = Fraction((aux.q1**2 - 1) * (aux.q2**2 - 1), (aux.q1 * aux.q2) ** 2)
-    s = (form_character_sum(d, aux.k) if char_sum is None else char_sum) * q
+    s = char_sum * q
     with mp.workdps(dps):
         value = mp.pi**2 / 6 * mpf(s.numerator) / mpf(s.denominator)
     return value, q
 
 
-def remainder_bound(
-    d: int, aux: AuxiliaryK, dps: int = DEFAULT_DPS, reduced: list[forms.QuadForm] | None = None
-) -> mpf:
-    """Sum over forms of (4 pi / sqrt(|d|)) * 2x/(1-x)^2, x = exp(-pi sqrt(|d|)/(k a)).
+def remainder_bound(d: int, k: int, reduced: list[forms.QuadForm], dps: int = DEFAULT_DPS) -> mpf:
+    """Sum over the reduced forms of d of (4 pi / sqrt(|d|)) * 2x/(1-x)^2,
+    x = exp(-pi sqrt(|d|)/(k a)).
 
     Each form's geometric remainder series sum_{r>=1} r x^r equals x/(1-x)^2
     exactly, so this dominates the modulus of the nonzero-frequency terms.
     """
-    if reduced is None:
-        reduced = forms.enumerate_reduced(d)
-    k = aux.k
     with mp.workdps(dps):
         root = mp.sqrt(-d)
         total = mpf(0)
@@ -403,14 +369,14 @@ def verify_identity(
             f"gaps {l1_gap:.3e}, {l2_gap:.3e} exceed {rtol}"
         )
     reduced = forms.enumerate_reduced(d)
-    s = form_character_sum(d, k, reduced)
-    principal, _ = principal_term(d, aux, dps=dps, char_sum=s)
-    bound = remainder_bound(d, aux, dps=dps, reduced=reduced)
+    s = form_character_sum(k, reduced)
+    principal, _ = principal_term(aux, s, dps=dps)
+    bound = remainder_bound(d, k, reduced, dps=dps)
     with mp.workdps(dps):
         lhs_f = l1_f * l2_f
         lhs_s = l1_s * l2_s
         residual = abs(lhs_f - principal)
-    cv = c_value(d, aux, char_sum=s)
+    cv = c_value(d, s)
     return IdentityReport(
         d=d,
         q1=aux.q1,

@@ -134,7 +134,8 @@ def build_parser() -> _Parser:
     p.add_argument("--sieve-primes", type=_prime_range, default=None, metavar="LO..HI")
     p.add_argument("--small-cutoff", type=_int_arg, default=None)
     p.add_argument("--resume", action="store_true")
-    p.add_argument("--stop-after-chunks", type=int, default=None, help="checkpoint and stop early (testing hook)")
+    p.add_argument("--stop-after-chunks", type=int, default=None, metavar="N",
+                   help="stop after N >= 1 chunks, to be resumed from --checkpoint (required)")
     p.add_argument("--progress", action="store_true")
 
     p = sub.add_parser("check", help="full form-enumeration verdict for one discriminant")

@@ -33,6 +33,7 @@ through as a survivor for direct checking.
 """
 from __future__ import annotations
 
+import contextlib
 import datetime
 import hashlib
 import json
@@ -417,6 +418,24 @@ def _worker_task(span):
     return _WORKER_RUNNER.process_range(*span)
 
 
+@contextlib.contextmanager
+def _chunk_results(runner: _Runner, spans: list[tuple[int, int]], workers: int):
+    """Yield runner.process_range over spans, in order: from a fork pool when
+    there are several workers and spans, else in this process.  Used in a
+    with statement, the pool is gone and _WORKER_RUNNER reset on every exit."""
+    global _WORKER_RUNNER
+    # workers inherit the runner by fork; without fork, run sequentially
+    if workers < 2 or len(spans) < 2 or "fork" not in multiprocessing.get_all_start_methods():
+        yield (runner.process_range(*span) for span in spans)
+        return
+    _WORKER_RUNNER = runner
+    try:
+        with multiprocessing.get_context("fork").Pool(processes=workers) as pool:
+            yield pool.imap(_worker_task, spans)
+    finally:
+        _WORKER_RUNNER = None
+
+
 def _chunk_spans(n_outer: int, n_inner: int) -> list[tuple[int, int]]:
     """Outer-index spans [lo, hi) covering [0, n_outer): at most _N_CHUNKS of
     them, each of at most _CHUNK_WORDS words unless one outer residue is more."""
@@ -470,110 +489,76 @@ def run_sieve(
     configured prime hits them, the elimination being credited to the
     smallest such prime.  Deterministic for any worker count.
 
-    With checkpoint_path set, the one checkpoint file is replaced atomically
-    after each outer chunk and holds the whole resume state, stream survivors
-    included, so a crash at any instant leaves a file that resumes cleanly.
-    A checkpoint that is missing, unreadable, of an older format or for
-    another config raises CheckpointMismatch.  With max_chunks set, stops
-    after that many outer-loop chunks; the partial outcome is flagged
-    completed=False and skips the completion cross-checks.
+    The run's state is one record, which is also the checkpoint: config
+    hash, outer_index, stream_valid, words_processed, bit_tally and stream
+    survivors.  A fresh run starts from the empty record; resume starts from
+    the one in checkpoint_path, and raises CheckpointMismatch when that is
+    missing, unreadable, of an older format, for another config or ends no
+    chunk.  Each outer chunk is folded into the record, which then replaces
+    the checkpoint file atomically, so a crash at any instant leaves a file
+    that resumes cleanly.  max_chunks stops after that many chunks (at least
+    1, and only with a checkpoint_path, else ValueError); the partial outcome
+    is flagged completed=False and skips the completion cross-checks.
     """
     if config.limit >= config.coverage:
         raise ValueError(
             f"limit {config.limit} must be below coverage {config.coverage} = 32*P1*P2"
         )
+    if max_chunks is not None and (not checkpoint_path or max_chunks < 1):
+        raise ValueError(f"stopping after {max_chunks} chunks needs at least one chunk "
+                         "and a checkpoint to resume from")
 
     direct = _direct_values(config)
     valid_total, alive_total, p_tallies = _pstage_scan(config)
 
-    stream_survivors: list[int] = []
-    bit_tally = np.zeros(len(config.sieve_primes), dtype=np.int64)
-    stream_valid = 0
-    words = 0
-    done = 0
-    chunks: list[tuple[int, int]] = []
-    runner = None
-    if config.limit >= config.small_cutoff:
-        runner = _Runner(config)
-        chunks = _chunk_spans(runner.n_outer, runner.n_inner)
+    runner = _Runner(config) if config.limit >= config.small_cutoff else None
+    chunks = _chunk_spans(runner.n_outer, runner.n_inner) if runner else []
 
     if resume:
-        ck = _read_checkpoint(checkpoint_path, config)
-        # resume at the outer index the checkpoint recorded, which must end a chunk
-        ends = [hi for _, hi in chunks]
-        if ck["outer_index"] not in ends:
-            raise CheckpointMismatch(f"checkpoint outer_index {ck['outer_index']} ends no chunk")
-        done = ends.index(ck["outer_index"]) + 1
-        stream_valid = ck["stream_valid"]
-        words = ck["words_processed"]
-        bit_tally = np.array(ck["bit_tally"], dtype=np.int64)
-        stream_survivors = ck["survivors"]
+        state = _read_checkpoint(checkpoint_path, config)
+        if state["outer_index"] not in [hi for _, hi in chunks]:
+            raise CheckpointMismatch(f"checkpoint outer_index {state['outer_index']} ends no chunk")
+    else:
+        state = dict(config_hash=config.config_hash(), outer_index=0, stream_valid=0,
+                     words_processed=0, bit_tally=[0] * len(config.sieve_primes), survivors=[])
 
-    def consume(result, span):
-        nonlocal stream_valid, words, done, bit_tally
-        surv, tally, sv, wd = result
-        stream_survivors.extend(surv)
-        bit_tally += tally
-        stream_valid += sv
-        words += wd
-        done += 1
-        if checkpoint_path:
-            _write_checkpoint(
-                checkpoint_path,
-                {
-                    "config_hash": config.config_hash(),
-                    "outer_index": span[1],
-                    "stream_valid": stream_valid,
-                    "words_processed": words,
-                    "bit_tally": bit_tally.tolist(),
-                    "survivors": stream_survivors,
-                },
-            )
-        if progress:
-            # rate over this run's words, not the resumed ones; ETA to the end of the outer range
-            elapsed = time.perf_counter() - started
-            rate = (words - resumed_words) / elapsed if elapsed > 0 else math.inf
-            eta = round((runner.n_outer - span[1]) * runner.n_inner / rate)
-            print(
-                f"[sieve] chunk {done}/{len(chunks)} "
-                f"(outer {span[1]}/{runner.n_outer}), "
-                f"stream survivors so far: {len(stream_survivors)}, "
-                f"{rate:.3g} words/s, ETA {datetime.timedelta(seconds=eta)}",
-                file=sys.stderr,
-            )
-
-    resumed_words = words
+    pending = [span for span in chunks if span[0] >= state["outer_index"]]
+    todo = pending[:max_chunks]
+    # the progress rate counts this run's words, not the resumed ones
+    first_chunk, first_words = len(chunks) - len(pending) + 1, state["words_processed"]
     started = time.perf_counter()
-    pending = chunks[done:]
-    todo = pending if max_chunks is None else pending[:max(0, max_chunks)]
+    with _chunk_results(runner, todo, workers) as results:
+        for n, (span, (surv, tally, sv, wd)) in enumerate(zip(todo, results), first_chunk):
+            state["outer_index"] = span[1]
+            state["stream_valid"] += sv
+            state["words_processed"] += wd
+            state["bit_tally"] = (tally + state["bit_tally"]).tolist()
+            state["survivors"].extend(surv)
+            if checkpoint_path:
+                _write_checkpoint(checkpoint_path, state)
+            if progress:
+                elapsed = time.perf_counter() - started
+                rate = (state["words_processed"] - first_words) / elapsed if elapsed > 0 else math.inf
+                eta = round((runner.n_outer - span[1]) * runner.n_inner / rate)
+                print(
+                    f"[sieve] chunk {n}/{len(chunks)} (outer {span[1]}/{runner.n_outer}), "
+                    f"stream survivors so far: {len(state['survivors'])}, "
+                    f"{rate:.3g} words/s, ETA {datetime.timedelta(seconds=eta)}",
+                    file=sys.stderr,
+                )
     completed = len(todo) == len(pending)
-    if todo:
-        try:
-            ctx = multiprocessing.get_context("fork")
-        except ValueError:  # no fork on this platform; run sequentially
-            ctx = None
-        if workers > 1 and len(todo) > 1 and ctx is not None:
-            global _WORKER_RUNNER
-            _WORKER_RUNNER = runner
-            with ctx.Pool(processes=workers) as pool:
-                for span, result in zip(todo, pool.imap(_worker_task, todo)):
-                    consume(result, span)
-            _WORKER_RUNNER = None
-        else:
-            for span in todo:
-                consume(runner.process_range(*span), span)
 
     # pass-through values lie below small_cutoff and stream survivors at or above it
-    survivors = direct.tolist() + sorted(stream_survivors)
+    survivors = direct.tolist() + sorted(state["survivors"])
     tally = {p: int(c) for p, c in p_tallies.items()}
-    tally.update(zip(config.sieve_primes, bit_tally.tolist()))
+    tally.update(zip(config.sieve_primes, state["bit_tally"]))
     eliminated = sum(tally.values())
     tested = int(direct.size) + valid_total
 
     if completed:
-        if stream_valid != alive_total:
+        if state["stream_valid"] != alive_total:
             raise InternalCheckError(
-                f"stream covered {stream_valid} valid candidates, residue scan expected {alive_total}"
+                f"stream covered {state['stream_valid']} valid candidates, residue scan expected {alive_total}"
             )
         if tested != len(survivors) + eliminated:
             raise InternalCheckError(
@@ -592,8 +577,8 @@ def run_sieve(
         config=config,
         completed=completed,
         direct_count=int(direct.size),
-        words_processed=words,
-        stream_valid=stream_valid,
+        words_processed=state["words_processed"],
+        stream_valid=state["stream_valid"],
     )
 
 

@@ -2,6 +2,7 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from mpmath import mp, mpf
 from sympy import divisor_sigma
@@ -13,7 +14,6 @@ from onegenus.analytic import (
     choose_k,
     form_character_sum,
     fundamental_unit,
-    l2_series_truncated,
     principal_term,
     real_class_number,
     remainder_bound,
@@ -45,6 +45,30 @@ def _cot_sum_oracle(k, d, dps):
             if chi:
                 total += chi * mp.cot(mp.pi * r / m)
         return mp.pi * total / m
+
+
+def _truncated_series_oracle(k, d, n_terms, dps=analytic.DEFAULT_DPS):
+    """Truncated Dirichlet series for L(1, chi_k chi_d) with a rigorous tail bound.
+
+    The tail after N terms is at most 2*B/(N+1) where B is the exact maximum
+    of |sum_{n<=t} chi(n)| over one period.  Coarse but independent: it
+    shares only the character table with l2_series.
+    """
+    m = k * (-d)
+    chis = np.concatenate(list(analytic._character_blocks(k, d, m))).tolist()
+    run = 0
+    best = 0
+    for n in range(1, m + 1):
+        run += chis[n % m]
+        best = max(best, abs(run))
+    assert run == 0, "character does not sum to zero over a period"
+    with mp.workdps(dps):
+        total = mpf(0)
+        for n in range(1, n_terms + 1):
+            chi = chis[n % m]
+            if chi:
+                total += mpf(chi) / n
+        return total, mpf(2 * best) / (n_terms + 1)
 
 
 def _rel_error(value, exact):
@@ -198,7 +222,7 @@ class TestLValues:
             verify_identity(-20, AuxiliaryK(5, 13, 65))
 
     def test_truncated_series_within_tail_bound(self):
-        value, tail = l2_series_truncated(21, -20, 100000)
+        value, tail = _truncated_series_oracle(21, -20, 100000)
         exact = analytic.l2_series(21, -20)
         assert abs(float(value - exact)) <= float(tail)
         assert float(tail) < 1e-3
@@ -229,18 +253,23 @@ class TestL2Series:
             analytic.l2_series(21, -21)
 
 
+def _char_sum(d, k):
+    return form_character_sum(k, forms.enumerate_reduced(d))
+
+
 class TestCValue:
     def test_examples(self):
-        assert c_value(-20, AuxiliaryK(3, 7, 21)) == -10
-        assert c_value(-24, AuxiliaryK(7, 11, 77)) == -12
-        assert c_value(-4, AuxiliaryK(3, 7, 21)) == -4
+        assert c_value(-20, _char_sum(-20, 21)) == -10
+        assert c_value(-24, _char_sum(-24, 77)) == -12
+        assert c_value(-4, _char_sum(-4, 21)) == -4
 
     def test_rational_fallback(self):
-        # -56 has minima 3 which does not divide 56
-        out = c_value(-56, choose_k(-56))
-        if not isinstance(out, int):
-            assert isinstance(out, Fraction)
-            assert out == form_character_sum(-56, choose_k(-56).k)
+        # -15 has the minimum 2, which does not divide 15, and chi_77(2) = -1
+        # (at -56 the minimum 3 divides k = 33, so the sum stays integral)
+        s = _char_sum(-15, choose_k(-15).k)
+        assert s == Fraction(1, 2)
+        out = c_value(-15, s)
+        assert isinstance(out, Fraction) and out == s
 
     def test_bound_by_sigma(self):
         rng = random.Random(41)
@@ -248,25 +277,24 @@ class TestCValue:
             n = rng.randrange(3, 30000)
             if n % 4 not in (0, 3):
                 continue
-            aux = choose_k(-n)
-            out = c_value(-n, aux)
+            out = c_value(-n, _char_sum(-n, choose_k(-n).k))
             if isinstance(out, int):
                 assert abs(out) <= divisor_sigma(n), n
 
 
 class TestPrincipalAndRemainder:
     def test_q_exact(self):
-        value, q = principal_term(-20, AuxiliaryK(3, 7, 21))
+        value, q = principal_term(AuxiliaryK(3, 7, 21), _char_sum(-20, 21))
         assert q == Fraction(128, 147)
         assert rel_close(value, 0.71616, 1e-3)
 
     def test_principal_minus4(self):
-        value, _ = principal_term(-4, AuxiliaryK(3, 7, 21))
+        value, _ = principal_term(AuxiliaryK(3, 7, 21), _char_sum(-4, 21))
         assert rel_close(value, 1.43233, 1e-3)
 
     def test_remainder_examples(self):
-        assert rel_close(remainder_bound(-20, AuxiliaryK(3, 7, 21)), 61.9, 2e-3)
-        assert rel_close(remainder_bound(-163, AuxiliaryK(3, 7, 21)), 0.40, 5e-3)
+        assert rel_close(remainder_bound(-20, 21, forms.enumerate_reduced(-20)), 61.9, 2e-3)
+        assert rel_close(remainder_bound(-163, 21, forms.enumerate_reduced(-163)), 0.40, 5e-3)
 
     def test_remainder_against_partial_sums(self):
         # independent oracle: sum r x^r to convergence instead of the closed form
@@ -287,7 +315,7 @@ class TestPrincipalAndRemainder:
                         r += 1
                     total += 2 * s
                 total *= 4 * mp.pi / root
-            assert rel_close(remainder_bound(d, aux), total, 1e-9)
+            assert rel_close(remainder_bound(d, aux.k, forms.enumerate_reduced(d)), total, 1e-9)
 
     def test_remainder_monotone_in_scale(self):
         # the per-form term 2x/(1-x)^2, x = exp(-pi t), decreases in
@@ -302,7 +330,7 @@ class TestPrincipalAndRemainder:
 
         # whole-bound sweep over the class-number-1 family (single form, a = 1):
         # only the scale parameter varies, so the bound must fall as |d| grows
-        vals = [float(remainder_bound(-n, AuxiliaryK(3, 7, 21)))
+        vals = [float(remainder_bound(-n, 21, forms.enumerate_reduced(-n)))
                 for n in (4, 8, 11, 19, 43, 67, 163)]
         assert vals == sorted(vals, reverse=True)
 

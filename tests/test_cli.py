@@ -255,6 +255,17 @@ class TestSieveCli:
         assert code == 0
         assert open(out_csv, "rb").read() == open(fresh, "rb").read()
 
+    @pytest.mark.parametrize("chunks, with_checkpoint", [("2", False), ("0", True), ("-1", True)],
+                             ids=["no-checkpoint", "zero-chunks", "negative-chunks"])
+    def test_early_stop_that_cannot_resume_is_usage_error(self, cli, tmp_path, chunks,
+                                                          with_checkpoint):
+        ck = tmp_path / "ck.json"
+        extra = ["--checkpoint", str(ck)] if with_checkpoint else []
+        code, _, err = cli(*SIEVE_ARGS, *extra, "--stop-after-chunks", chunks)
+        assert code == 1
+        assert "checkpoint to resume from" in err and "Traceback" not in err
+        assert not ck.exists()
+
     @pytest.mark.parametrize("edit", [
         lambda text: "{" + text,
         lambda text: json.dumps({k: v for k, v in json.loads(text).items() if k != "stream_valid"}),

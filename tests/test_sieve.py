@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -298,6 +299,31 @@ class TestCheckpoint:
             resumed = run_sieve(SieveConfig(**params), checkpoint_path=str(ck), resume=True)
             assert resumed.completed
             _same_outcome(resumed, whole)
+
+    def test_pool_torn_down_when_a_checkpoint_write_fails(self, monkeypatch, tmp_path):
+        replace = os.replace
+        calls = []
+
+        def fail_on_second(src, dst):
+            calls.append(dst)
+            if len(calls) == 2:
+                raise OSError("disk full")
+            replace(src, dst)
+
+        monkeypatch.setattr(sieve.os, "replace", fail_on_second)
+        with pytest.raises(OSError, match="disk full"):
+            run_sieve(SieveConfig(**PIPELINE), workers=2, checkpoint_path=str(tmp_path / "ck.json"))
+        assert sieve._WORKER_RUNNER is None
+
+    @pytest.mark.parametrize("params, chunks, digest", [
+        (SMALL, 3, "5524e0fec4bf76fe6d8e7f699d4635578dff7d964e25e880e582db3857f2096b"),
+        (PIPELINE, 5, "afe507cd912d87ece0fb511904fae50f963a0e6cfb9f72636b09d4f611c5cf9d"),
+    ], ids=["small", "pipeline"])
+    def test_checkpoint_bytes_pinned(self, tmp_path, params, chunks, digest):
+        # the format a resume reads back: key order, indent and survivor order
+        ck = tmp_path / "ck.json"
+        run_sieve(SieveConfig(**params), checkpoint_path=str(ck), max_chunks=chunks)
+        assert hashlib.sha256(ck.read_bytes()).hexdigest() == digest
 
 
 class _Crash(Exception):
