@@ -75,6 +75,10 @@ def write_report(data, path: str | None, fmt: str = "json") -> None:
         lines = [",".join(header)]
         lines.extend(",".join(str(v) for v in row) for row in rows)
         text = "\n".join(lines) + "\n"
+    _write_text(text, path)
+
+
+def _write_text(text: str, path: str | None) -> None:
     if path is None:
         sys.stdout.write(text)
     else:
@@ -205,8 +209,9 @@ def _cmd_sieve(args) -> int:
             file=sys.stderr,
         )
         return 0
-    rows = list(outcome.survivor_rows())
-    write_report((("abs_d", "mod4_class", "passed_sieve"), rows), args.out, fmt="csv")
+    # one f-string per row: this CSV is most of what a sieve run writes
+    rows = [f"{n},{r},{s}\n" for n, r, s in outcome.survivor_rows()]
+    _write_text("abs_d,mod4_class,passed_sieve\n" + "".join(rows), args.out)
     print(
         f"[sieve] tested {outcome.tested_count} candidates <= {config.limit}: "
         f"{outcome.eliminated_count} eliminated, {len(outcome.survivors)} survivors "

@@ -27,6 +27,17 @@ complement.  The first window of sieve primes, which tests every word, takes
 its residues from the outer and inner parts of each word as uint16 sums
 instead of an int64 modulo.
 
+The P1/P2 stage's bookkeeping is counted in closed form, never per candidate.
+Which of those primes first eliminates each candidate in [small_cutoff, limit],
+and how many candidates survive them all for the stream to cover, depend only
+on residues mod 4*P1*P2.  For each prefix of those primes, with product q,
+the survivors n = 4t and n = 4t + 3 below a bound are whole periods of q
+plus the survivor residues below a remainder.  That last count is a meet in
+the middle: the survivor set mod q is U + V mod q for the CRT lifts of two
+halves of the primes, so it costs O(sqrt|S| log|S|) for the |S| survivors
+mod 4*P1*P2, against the stream's |S|/2 words, whatever the limit.  Every
+value it holds in int64 is below 2q, and SieveConfig refuses P1*P2 >= 2^62.
+
 Eliminations are only trusted for |d| >= small_cutoff (which must exceed
 4*q^2 for every configured prime); everything below the cutoff is passed
 through as a survivor for direct checking.
@@ -59,6 +70,7 @@ _CHUNK_WORDS = 1 << 32    # and at most this many words each, unless one outer r
 _BLOCK = 1 << 16          # words per vectorized pass: its int64 arrays stay in L2
 _CADENCE = 8              # sieve primes between compactions of the alive words
 _ALL_HIT = np.uint32(0xFFFFFFFF)
+_MAX_MODULUS = 1 << 62    # P1*P2 bound: every int64 sum stays below 2*P1*P2
 
 
 def default_sieve_primes() -> tuple[int, ...]:
@@ -90,6 +102,11 @@ class SieveConfig:
                 raise ValueError(f"{p} is not an odd prime")
         if not self.p1_primes or not self.p2_primes:
             raise ValueError("both prime products must be non-empty")
+        if self.modulus >= _MAX_MODULUS:
+            raise ValueError(
+                f"P1*P2 = {self.modulus} must be below 2^62, so that the stream's "
+                "words and the P-stage count's sums, all below 2*P1*P2, fit in int64"
+            )
         if self.limit < 0:
             raise ValueError("limit must be non-negative")
         if self.limit >= self.small_cutoff and allp:
@@ -138,27 +155,37 @@ def eliminated_residues(p: int) -> np.ndarray:
     return bad
 
 
+def _residue_lifts(p: int, m: int, scale: int = 1) -> np.ndarray:
+    """x mod m with x = scale*s (mod p) and x = 0 (mod m/p), for each survivor s
+    mod p in ascending order; p divides m, which is odd and below 2^62."""
+    e = scale * (m // p) * pow(m // p, -1, p) % m
+    return np.array([s * e % m for s in np.flatnonzero(~eliminated_residues(p)).tolist()],
+                    dtype=np.int64)
+
+
+def _crt_lifts(primes, m: int, scale: int = 1) -> np.ndarray:
+    """Unordered: every x mod m that is 0 mod m/prod(primes) and scale times a
+    survivor mod each p of primes.  Sums of one _residue_lifts value per prime,
+    reduced as they go, so nothing exceeds 2m."""
+    acc = np.zeros(1, dtype=np.int64)
+    for p in primes:
+        acc = (acc[:, None] + _residue_lifts(p, m, scale)).ravel()
+        np.subtract(acc, m, out=acc, where=acc >= m)
+    return acc
+
+
 def survivors_mod(primes) -> list[int]:
     """Ascending residues mod prod(primes) surviving every per-prime condition."""
     primes = list(primes)
-    if not primes:
-        return [0]
     if len(set(primes)) != len(primes):
         raise ValueError("primes must be distinct")
     total = math.prod((p + 1) // 2 for p in primes)
     if total > 5 * 10**7:
         raise ValueError(f"survivor set of size {total} is too large to materialize")
-    vals = [0]
-    mod = 1
     for p in primes:
         if p == 2 or not is_prime(p):
             raise ValueError(f"{p} is not an odd prime")
-        res = np.flatnonzero(~eliminated_residues(p)).tolist()
-        inv = pow(mod, -1, p)
-        vals = [v + mod * ((r - v) * inv % p) for v in vals for r in res]
-        mod *= p
-    vals.sort()
-    return vals
+    return np.sort(_crt_lifts(primes, math.prod(primes))).tolist()
 
 
 def build_bit_tables(config: SieveConfig) -> dict[int, np.ndarray]:
@@ -243,32 +270,66 @@ def _direct_values(config: SieveConfig) -> np.ndarray:
     return vals
 
 
-def _pstage_scan(config: SieveConfig) -> tuple[int, int, dict[int, int]]:
+def _survivors_in(primes, lo: int, hi: int) -> int:
+    """Number of n in [lo, hi], lo >= 0, with n = 0 or 3 (mod 4) and n mod p a
+    survivor for every p of primes.
+
+    With q = prod(primes) and T = {s/4 mod q : s survives mod q}, the n = 4t
+    counted are the t with t mod q in T, and the n = 4t + 3 those with
+    (t + 3/4) mod q in T.  So each part is a difference of
+    G(k) = #{0 <= t < k : t mod q in T} = (k // q)*|T| + #{x in T : x < k mod q}.
+    T is U + V mod q for the CRT lifts U, V of two halves of the primes of
+    about equal survivor counts, and #{u + v mod q < r} is a searchsorted of
+    U, sorted once, for each v: O(sqrt|T| log|T|) work in all.
+    """
+    q = math.prod(primes)
+    quarter = pow(4, -1, q)
+    halves, sizes = ([], []), [1, 1]
+    for p in sorted(primes, reverse=True):
+        i = int(sizes[1] < sizes[0])
+        halves[i].append(p)
+        sizes[i] *= (p + 1) // 2
+    u, v = _crt_lifts(halves[0], q, quarter), _crt_lifts(halves[1], q, quarter)
+    u.sort()
+    v.sort()
+    v_down = v[::-1]  # descending, so that every searchsorted query ascends
+
+    def below(r: int) -> int:
+        # #{u + v < r} + #{u + v < q + r}, every sum below 2q < 2^63: for
+        # v >= r only the second counts, and for v < r it counts every u.
+        # This is #{u + v mod q < r} plus #{u + v < q}, a constant that
+        # cancels in the differences of g below.
+        split = v.size - int(np.searchsorted(v, r))  # the v >= r lead v_down
+        return (int(np.searchsorted(u, q + r - v_down[:split]).sum())
+                + int(np.searchsorted(u, r - v_down[split:]).sum())
+                + u.size * (v.size - split))
+
+    def g(k: int) -> int:
+        whole, r = divmod(k, q)
+        return whole * u.size * v.size + below(r)
+
+    shift = 3 * quarter % q
+    return g((hi + 4) // 4) - g((lo + 3) // 4) + g(shift + (hi + 1) // 4) - g(shift + lo // 4)
+
+
+def _pstage_count(config: SieveConfig) -> tuple[int, int, dict[int, int]]:
     """Tally eliminations by the P1/P2 residue stage over the trusted range.
 
     Returns (valid_total, alive_total, per-prime tallies), crediting each
-    eliminated candidate to the smallest prime that hits it.
+    eliminated candidate to the smallest prime that hits it: the tally of p
+    is the count of survivors of the primes below p less that of the primes
+    up to p.  Exact for any limit, in time independent of it.
     """
     primes = sorted(config.p1_primes + config.p2_primes)
-    tallies = {p: 0 for p in primes}
-    lo = max(config.small_cutoff, 3)
-    hi = config.limit
+    tallies = dict.fromkeys(primes, 0)
+    lo, hi = max(config.small_cutoff, 3), config.limit
     if hi < lo:
         return 0, 0, tallies
-    luts = {p: eliminated_residues(p) for p in primes}
-    valid_total = 0
-    alive_total = 0
-    for start in range(lo, hi + 1, 1 << 22):
-        v = np.arange(start, min(start + (1 << 22), hi + 1), dtype=np.int64)
-        r4 = v & 3
-        alive = (r4 == 0) | (r4 == 3)
-        valid_total += int(alive.sum())
-        for p in primes:
-            hit = luts[p][v % p] & alive
-            tallies[p] += int(hit.sum())
-            alive &= ~hit
-        alive_total += int(alive.sum())
-    return valid_total, alive_total, tallies
+    valid_total = alive = count_valid(hi) - count_valid(lo - 1)
+    for k, p in enumerate(primes, 1):
+        left = _survivors_in(primes[:k], lo, hi)
+        tallies[p], alive = alive - left, left
+    return valid_total, alive, tallies
 
 
 class _Runner:
@@ -278,22 +339,14 @@ class _Runner:
         m1, m2 = config.p1_product, config.p2_product
         self.m = m = m1 * m2
         c1 = m2 * pow(m2, -1, m1) % m
-        c2 = m1 * pow(m1, -1, m2) % m
 
         outer = survivors_mod(config.p1_primes)
         self.n_outer = len(outer)
         self.outer_base = np.array([(r * c1) % m for r in outer], dtype=np.int64)
 
         # per-prime CRT contributions for the inner product, combined by _gen_contrib
-        self.inner_counts = []
-        self.inner_contribs = []
-        for p in config.p2_primes:
-            e = (m2 // p) * pow(m2 // p, -1, p)
-            res = np.flatnonzero(~eliminated_residues(p)).tolist()
-            self.inner_counts.append(len(res))
-            self.inner_contribs.append(
-                np.array([((r * e) % m2) * c2 % m for r in res], dtype=np.int64)
-            )
+        self.inner_contribs = [_residue_lifts(p, m) for p in config.p2_primes]
+        self.inner_counts = [c.size for c in self.inner_contribs]
         self.n_inner = math.prod(self.inner_counts)
 
         tables = build_bit_tables(config)
@@ -489,6 +542,11 @@ def run_sieve(
     configured prime hits them, the elimination being credited to the
     smallest such prime.  Deterministic for any worker count.
 
+    The P1/P2 primes' tallies, and the number of candidates the stream must
+    find valid, come from _pstage_count: exact, in int64, and in
+    O(sqrt|S| log|S|) time for the |S| survivors mod 4*P1*P2, however large
+    the limit.  The stream's count of valid candidates is checked against it.
+
     The run's state is one record, which is also the checkpoint: config
     hash, outer_index, stream_valid, words_processed, bit_tally and stream
     survivors.  A fresh run starts from the empty record; resume starts from
@@ -509,7 +567,7 @@ def run_sieve(
                          "and a checkpoint to resume from")
 
     direct = _direct_values(config)
-    valid_total, alive_total, p_tallies = _pstage_scan(config)
+    valid_total, alive_total, p_tallies = _pstage_count(config)
 
     runner = _Runner(config) if config.limit >= config.small_cutoff else None
     chunks = _chunk_spans(runner.n_outer, runner.n_inner) if runner else []
@@ -558,7 +616,7 @@ def run_sieve(
     if completed:
         if state["stream_valid"] != alive_total:
             raise InternalCheckError(
-                f"stream covered {state['stream_valid']} valid candidates, residue scan expected {alive_total}"
+                f"stream covered {state['stream_valid']} valid candidates, P-stage count expected {alive_total}"
             )
         if tested != len(survivors) + eliminated:
             raise InternalCheckError(

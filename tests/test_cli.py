@@ -287,6 +287,15 @@ class TestSieveCli:
         assert code == 1
         assert "coverage" in err
 
+    def test_prime_products_past_int64_are_usage_error(self, cli):
+        # P1*P2 = 3*5*...*59 ~ 9.6*10^20: refused before any counting or sieving
+        code, out, err = cli(
+            "sieve", "--limit", "2e7", "--p1", "3,5,7,11,13,17,19,23,29",
+            "--p2", "31,37,41,43,47,53,59", "--sieve-primes", "71..73", "--small-cutoff", "1e7",
+        )
+        assert code == 1 and out == ""
+        assert "onegenus: error:" in err and "2^62" in err and "Traceback" not in err
+
     def test_threads_flag(self, cli, tmp_path):
         a = str(tmp_path / "t1.csv")
         b = str(tmp_path / "t4.csv")

@@ -6,10 +6,13 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from onegenus import sieve
+from onegenus.arith import primes_up_to
 from onegenus.errors import CheckpointMismatch
-from onegenus.sieve import SieveConfig, run_sieve, survivors_mod, witness_form
+from onegenus.sieve import SieveConfig, eliminated_residues, run_sieve, survivors_mod, witness_form
 
 # small full-coverage config used throughout: every prime's 4p^2 sits below
 # the cutoff, so eliminations in [2200, 30000] are certified
@@ -33,6 +36,34 @@ PIPELINE = dict(
 
 def naive_eliminated(n: int, primes) -> bool:
     return any(sieve.eliminated_residues(p)[n % p] for p in primes)
+
+
+def _pstage_scan(config: SieveConfig) -> tuple[int, int, dict[int, int]]:
+    """Tally eliminations by the P1/P2 residue stage over the trusted range.
+
+    Returns (valid_total, alive_total, per-prime tallies), crediting each
+    eliminated candidate to the smallest prime that hits it.
+    """
+    primes = sorted(config.p1_primes + config.p2_primes)
+    tallies = {p: 0 for p in primes}
+    lo = max(config.small_cutoff, 3)
+    hi = config.limit
+    if hi < lo:
+        return 0, 0, tallies
+    luts = {p: eliminated_residues(p) for p in primes}
+    valid_total = 0
+    alive_total = 0
+    for start in range(lo, hi + 1, 1 << 22):
+        v = np.arange(start, min(start + (1 << 22), hi + 1), dtype=np.int64)
+        r4 = v & 3
+        alive = (r4 == 0) | (r4 == 3)
+        valid_total += int(alive.sum())
+        for p in primes:
+            hit = luts[p][v % p] & alive
+            tallies[p] += int(hit.sum())
+            alive &= ~hit
+        alive_total += int(alive.sum())
+    return valid_total, alive_total, tallies
 
 
 @pytest.fixture(scope="module")
@@ -213,6 +244,64 @@ class TestRunSieve:
             assert w.reduced_nonambiguous
             assert w.form.discriminant() == -n
             assert w.form.is_reduced() and not w.form.is_ambiguous()
+
+
+@st.composite
+def pstage_configs(draw):
+    """Disjoint P1, P2 of the odd primes <= 47 and cutoff <= limit <= 2*10^6,
+    or the same span moved to start at a multiple of P1*P2 or to end just
+    before a multiple of P1*P2 or of 4; or else limit < cutoff."""
+    primes = draw(st.lists(st.sampled_from(primes_up_to(47)[1:]), unique=True,
+                           min_size=2, max_size=6))
+    split = draw(st.integers(1, len(primes) - 1))
+    m = math.prod(primes)
+    cutoff = draw(st.integers(4 * max(primes) ** 2 + 1, 2 * 10**6))
+    limit = draw(st.integers(cutoff, 2 * 10**6))
+    span = limit - cutoff
+    edge = draw(st.sampled_from(["any", "empty", "lo", "hi", "mod4"]))
+    if edge == "empty":
+        limit = draw(st.integers(0, cutoff - 1))
+    elif edge == "lo":
+        cutoff = m * -(-cutoff // m)
+        limit = cutoff + span
+    elif edge == "hi":
+        limit = m * -(-(limit + 1) // m) - 1
+        cutoff = max(cutoff, limit - span)
+    elif edge == "mod4":
+        limit += 3 - limit % 4
+    return SieveConfig(p1_primes=primes[:split], p2_primes=primes[split:], sieve_primes=(),
+                       limit=limit, small_cutoff=cutoff)
+
+
+class TestPStageCount:
+    @pytest.mark.parametrize("params", [
+        dict(p1_primes=(3, 5, 7, 11), p2_primes=(13, 17, 19), sieve_primes=(), limit=3_030_002,
+             small_cutoff=2 * 10**5),
+        dict(p1_primes=(3, 5, 7), p2_primes=(11, 13, 17), sieve_primes=(), limit=3_589_141,
+             small_cutoff=10**4),
+        SMALL, PIPELINE,
+    ], ids=["sieve-scaled", "weak", "small", "pipeline"])
+    def test_matches_scan(self, params):
+        config = SieveConfig(**params)
+        assert sieve._pstage_count(config) == _pstage_scan(config)
+
+    @settings(derandomize=True, deadline=None, database=None, max_examples=80)
+    @given(pstage_configs())
+    def test_matches_scan_on_random_products(self, config):
+        assert sieve._pstage_count(config) == _pstage_scan(config)
+
+    @settings(derandomize=True, deadline=None, database=None, max_examples=40)
+    @given(pstage_configs(), st.integers(1, 2**40))
+    @example(SieveConfig(p1_primes=(31, 37), p2_primes=(41, 43, 47), sieve_primes=(),
+                         limit=3 * 10**6, small_cutoff=10**6), 2**40)
+    def test_shift_by_periods_keeps_every_tally(self, config, j):
+        # limit and cutoff move by whole periods of the residue conditions,
+        # past 2^63 for the larger products
+        shift = 4 * config.modulus * j
+        moved = SieveConfig(p1_primes=config.p1_primes, p2_primes=config.p2_primes,
+                            sieve_primes=(), limit=config.limit + shift,
+                            small_cutoff=config.small_cutoff + shift)
+        assert sieve._pstage_count(moved) == sieve._pstage_count(config)
 
 
 class TestCheckpoint:
@@ -464,6 +553,17 @@ class TestTopOfRange:
         assert tally.tolist() == expect_tally
         if sieve_primes is not None:
             assert expect_out
+
+    def test_pstage_count_at_the_paper_limit(self):
+        # the P1/P2 stage of a whole run to 9.8*10^18, counted without the stream
+        config = SieveConfig(limit=98 * 10**17)
+        lo, hi = config.small_cutoff, config.limit
+        valid, alive, tally = sieve._pstage_count(config)
+        assert valid == sieve.count_valid(hi) - sieve.count_valid(lo - 1)
+        assert sum(tally.values()) + alive == valid
+        # 3 eliminates n = 2 (mod 3), so the valid n = 8 or 11 (mod 12)
+        assert tally[3] == sum((hi - r) // 12 - (lo - 1 - r) // 12 for r in (8, 11))
+        assert alive == 877_265_694_611_341
 
 
 class TestWitness:
