@@ -228,6 +228,7 @@ def _cmd_sieve(args) -> int:
             "started": started,
             "finished": datetime.datetime.now(datetime.timezone.utc).isoformat(),
             "outputs": {"survivors_csv": args.out, "checkpoint": args.checkpoint},
+            "stream_kernel": outcome.kernel,
             "summary": {
                 "tested_count": outcome.tested_count,
                 "eliminated_count": outcome.eliminated_count,

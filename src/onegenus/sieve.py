@@ -12,20 +12,29 @@ plus an inner one (surviving mod P2).  For each remaining sieve prime q a table
 of 32-bit words indexed by a mod q marks whether a + k*P1*P2 is eliminated by q
 in bit k, so a single OR applies q's condition to 32 candidates.
 
-The stream has one shape for every configuration.  Each vectorized pass
-sieves one batch of about _BLOCK words, few enough for its arrays to stay in
-L2 cache.  Inner contributions are generated in blocks of at most _BLOCK
-words, each block once per outer chunk, and a pass stacks the block shifted
-by as many outer residues of the chunk as the batch holds: one at paper
-scale, where the inner set holds ~6*10^8 residues, and dozens when it holds
-a few thousand.  Memory stays at one batch however large P2 is; survivors
-come out unordered and are sorted at the end.
+The stream has one shape for every configuration and two kernels with the
+same output: the same survivors in the same order, tallies and count of
+valid bits.  Both walk the words in the order (inner block of _BLOCK words,
+outer residue, inner word), generating each block's inner contributions once
+per outer chunk, so memory stays at one block however large P2 is;
+run_sieve sorts the survivors at the end.  The
+first window of sieve primes, which tests every word, takes its residues
+from the outer and inner parts of each word instead of a 64-bit modulo.
 
-In a pass the hit words start with every invalid bit set, so each prime's
-tally is the growth of their popcount and the survivors are their
-complement.  The first window of sieve primes, which tests every word, takes
-its residues from the outer and inner parts of each word as uint16 sums
-instead of an int64 modulo.
+The compiled kernel, _stream.c, runs when it can be built and loaded and
+survivors fit in uint64 (limit < 2^64).  `cc` builds it on first use, in a
+subprocess, into $XDG_CACHE_HOME/onegenus (default ~/.cache/onegenus, else a
+directory under tempfile.gettempdir()), under a name hashed from its source,
+flags and compiler version.  It steps the inner contributions and their
+first-window residues with a mixed-radix odometer, runs the first window
+without branches and later primes only on words still alive.  Otherwise the
+numpy kernel runs, which is also the compiled one's test oracle.  A numpy
+pass sieves about _BLOCK words, few enough for its arrays to stay in L2
+cache: the block shifted by as many outer residues of the chunk as that
+holds, one at paper scale, where the inner set holds ~6*10^8 residues, and
+dozens when it holds a few thousand.  Its hit words start with every
+invalid bit set, so each prime's tally is the growth of their popcount and
+the survivors are their complement.
 
 The P1/P2 stage's bookkeeping is counted in closed form, never per candidate.
 Which of those primes first eliminates each candidate in [small_cutoff, limit],
@@ -46,6 +55,7 @@ from __future__ import annotations
 
 import contextlib
 import datetime
+import functools
 import hashlib
 import json
 import math
@@ -71,6 +81,7 @@ _BLOCK = 1 << 16          # words per vectorized pass: its int64 arrays stay in 
 _CADENCE = 8              # sieve primes between compactions of the alive words
 _ALL_HIT = np.uint32(0xFFFFFFFF)
 _MAX_MODULUS = 1 << 62    # P1*P2 bound: every int64 sum stays below 2*P1*P2
+_SURVIVOR_CAPACITY = 1 << 16  # first survivor buffer of the compiled kernel; grows 4x when full
 
 
 def default_sieve_primes() -> tuple[int, ...]:
@@ -244,6 +255,7 @@ class SieveOutcome:
     direct_count: int = 0
     words_processed: int = 0
     stream_valid: int = 0
+    kernel: str | None = None  # the stream kernel that ran, "c" or "numpy"; None without a stream
 
     def survivor_rows(self):
         """CSV rows (abs_d, mod4_class, passed_sieve), ascending."""
@@ -332,6 +344,63 @@ def _pstage_count(config: SieveConfig) -> tuple[int, int, dict[int, int]]:
     return valid_total, alive, tallies
 
 
+def _kernel_key(source: bytes, flags: list[str], version: bytes) -> str:
+    """Cache name of a compiled kernel: sha256 of its source, then of its
+    flags and the compiler's --version."""
+    build = hashlib.sha256(" ".join(flags).encode() + b"\0" + version).hexdigest()
+    return f"{hashlib.sha256(source).hexdigest()[:24]}-{build[:16]}"
+
+
+@functools.cache
+def _stream_kernel():
+    """The compiled stream kernel, _stream.c, or None where it cannot be built
+    or loaded; loaded at most once per process, on first use.
+
+    `cc` compiles it in a subprocess into $XDG_CACHE_HOME/onegenus (default
+    ~/.cache/onegenus), or, when that fails, into a directory of this user's
+    under tempfile.gettempdir().  The file is named by _kernel_key and moved
+    into place with os.replace, so concurrent first runs are safe.  A cached
+    file that does not load is not rebuilt; the next directory is tried.
+    """
+    # only a process that sieves pays for these imports and the compiler
+    import ctypes
+    import platform
+    import subprocess
+    import tempfile
+    from importlib import resources
+
+    source = resources.files("onegenus").joinpath("_stream.c").read_bytes()
+    # popcount must compile to one instruction, not gcc's software fallback
+    flags = ["-O3", "-mpopcnt"] if platform.machine().lower() in ("x86_64", "amd64") else ["-O3"]
+    try:
+        version = subprocess.run(["cc", "--version"], capture_output=True, check=True).stdout
+    except (OSError, subprocess.SubprocessError):
+        return None
+    name = f"stream-{_kernel_key(source, flags, version)}.so"
+    cache = os.environ.get("XDG_CACHE_HOME") or os.path.join(os.path.expanduser("~"), ".cache")
+    for folder in (os.path.join(cache, "onegenus"),
+                   os.path.join(tempfile.gettempdir(), f"onegenus-{os.getuid()}")):
+        path = os.path.join(folder, name)
+        try:
+            os.makedirs(folder, mode=0o700, exist_ok=True)
+            if os.stat(folder).st_uid != os.getuid():
+                continue  # a shared directory someone else made
+            if not os.path.exists(path):
+                tmp = f"{path}.{os.getpid()}.tmp"
+                subprocess.run(["cc", *flags, "-shared", "-fPIC", "-x", "c", "-", "-o", tmp],
+                               input=source, capture_output=True, check=True)
+                os.replace(tmp, path)
+            kernel = ctypes.CDLL(path).onegenus_sieve_span
+        except (OSError, subprocess.SubprocessError, AttributeError):
+            continue
+        i64, u64, ptr = ctypes.c_int64, ctypes.c_uint64, ctypes.c_void_p
+        kernel.restype = i64
+        kernel.argtypes = [u64, u64, u64, ptr, ptr, i64, i64, ptr, ptr, i64, ptr, ptr, ptr, ptr,
+                           i64, ptr, ptr, i64, i64, i64, i64, i64, ptr, i64, ptr, ptr]
+        return kernel
+    return None
+
+
 class _Runner:
     """Precomputed stream state shared by all workers (inherited via fork)."""
 
@@ -383,6 +452,25 @@ class _Runner:
                     mask |= 1 << k
             self.valid_masks[i] = mask
 
+        # the compiled kernel writes survivors as uint64, so it runs while they fit
+        self._kernel = _stream_kernel() if config.limit < 1 << 64 else None
+        self.kernel = "numpy" if self._kernel is None else "c"
+        if self._kernel is not None:
+            self._capacity = _SURVIVOR_CAPACITY
+            counts = np.array(self.inner_counts, dtype=np.int64)
+            primes = np.array(self.primes, dtype=np.int64)
+            lifts, tables3, tables = (np.array([t.ctypes.data for t in ts], dtype=np.uintp)
+                                      for ts in (self.inner_contribs, self.tables3, self.tables))
+            self._kernel_arrays = (counts, primes, lifts, tables3, tables)  # kept alive
+            self._kernel_args = (
+                m, self.lo_r, self.hi_r, self.valid_masks.ctypes.data,
+                self.outer_base.ctypes.data, self.n_outer,
+                counts.size, counts.ctypes.data, lifts.ctypes.data,
+                len(self.tables3), self.first_q.ctypes.data, self.outer_res.ctypes.data,
+                self.wrap_fix.ctypes.data, tables3.ctypes.data,
+                primes.size, primes.ctypes.data, tables.ctypes.data,
+            )
+
     def _gen_contrib(self, lo: int, hi: int) -> np.ndarray:
         """CRT contributions of inner indices [lo, hi), mixed radix, first prime fastest."""
         rem = np.arange(lo, hi, dtype=np.int64)
@@ -392,18 +480,43 @@ class _Runner:
             rem //= count
         return acc % self.m
 
-    def process_range(self, lo: int, hi: int):
-        """Sieve outer indices [lo, hi); returns survivors and per-prime credits.
+    def process_range(self, lo: int, hi: int, inner: tuple[int, int] | None = None):
+        """Sieve outer indices [lo, hi) over inner indices [start, stop) = inner,
+        all of them by default.
+
+        Returns (survivors, per-prime tally, valid bits, words).  Words, and
+        so survivors, come in the order (inner block of _BLOCK words, outer
+        residue, inner word).  Runs the compiled kernel when it loaded, else
+        _process_range_numpy, which is also its oracle.  A survivor buffer
+        that fills is discarded and the call repeated with a larger one.
+        """
+        if self._kernel is None:
+            return self._process_range_numpy(lo, hi, inner)
+        start, stop = inner or (0, self.n_inner)
+        tally = np.zeros(len(self.primes), dtype=np.int64)
+        counts = np.zeros(2, dtype=np.int64)
+        while True:
+            out = np.empty(self._capacity, dtype=np.uint64)  # untouched pages cost no memory
+            n = self._kernel(*self._kernel_args, lo, hi, start, stop, _BLOCK,
+                             out.ctypes.data, out.size, tally.ctypes.data, counts.ctypes.data)
+            if n >= 0:
+                return out[:n].tolist(), tally, int(counts[0]), int(counts[1])
+            if n == -2:
+                raise MemoryError("the stream kernel could not allocate its block buffers")
+            self._capacity *= 4
+
+    def _process_range_numpy(self, lo: int, hi: int, inner: tuple[int, int] | None = None):
+        """process_range in numpy passes.
 
         Each pass sieves one batch of about _BLOCK words: a group of outer
-        residues, each shifted by the whole inner block.  Words, and so
-        survivors, come in the order (inner block, outer residue, inner word).
+        residues, each shifted by the whole inner block.
         """
+        start, stop = inner or (0, self.n_inner)
         survivors: list[int] = []
         tally = np.zeros(len(self.primes), dtype=np.int64)
         stream_valid = 0
-        for s in range(0, self.n_inner, _BLOCK):
-            contrib = self._gen_contrib(s, min(s + _BLOCK, self.n_inner))
+        for s in range(start, stop, _BLOCK):
+            contrib = self._gen_contrib(s, min(s + _BLOCK, stop))
             inner_res = (contrib % self.first_q).astype(np.uint16)
             group = max(1, _BLOCK // contrib.size)
             for o in range(lo, hi, group):
@@ -412,13 +525,13 @@ class _Runner:
                 res = self.outer_res[:, o:top, None] + inner_res[:, None, :]
                 res = res.reshape(len(res), a.size)
                 stream_valid += self._sieve_block(a, survivors, tally, res)
-        return survivors, tally, stream_valid, (hi - lo) * self.n_inner
+        return survivors, tally, stream_valid, (hi - lo) * (stop - start)
 
     def _sieve_block(self, a: np.ndarray, out: list[int], tally: np.ndarray, res=None) -> int:
         """Sieve the words a (each below 2m; neither a nor res is modified).
 
         res[i] is a mod the i-th sieve prime q plus 0 or q, for the primes
-        of tables3; process_range gets it from the split of a, and it is
+        of tables3; _process_range_numpy gets it from the split of a, and it is
         computed here when not given.  Appends the surviving candidates to
         out, credits each elimination to the first prime that hits it in
         tally, and returns the number of valid bits.  The hit words w start
@@ -601,7 +714,8 @@ def run_sieve(
                 print(
                     f"[sieve] chunk {n}/{len(chunks)} (outer {span[1]}/{runner.n_outer}), "
                     f"stream survivors so far: {len(state['survivors'])}, "
-                    f"{rate:.3g} words/s, ETA {datetime.timedelta(seconds=eta)}",
+                    f"{rate:.3g} words/s ({runner.kernel} kernel), "
+                    f"ETA {datetime.timedelta(seconds=eta)}",
                     file=sys.stderr,
                 )
     completed = len(todo) == len(pending)
@@ -637,14 +751,16 @@ def run_sieve(
         direct_count=int(direct.size),
         words_processed=state["words_processed"],
         stream_valid=state["stream_valid"],
+        kernel=runner.kernel if runner else None,
     )
 
 
 def benchmark_stream(config: SieveConfig, min_words: int = 1 << 21) -> dict:
     """Time the packed inner loop until at least min_words words are processed.
 
-    Returns words/second and candidate tests/second (32 per word); used for
-    throughput regression tracking, not for correctness.
+    Returns words/second and candidate tests/second (32 per word) of the
+    kernel the runner loaded, and its name; used for throughput regression
+    tracking, not for correctness.
     """
     runner = _Runner(config)
     words = 0
@@ -661,4 +777,5 @@ def benchmark_stream(config: SieveConfig, min_words: int = 1 << 21) -> dict:
         "seconds": dt,
         "words_per_second": words / dt if dt else float("inf"),
         "tests_per_second": 32 * words / dt if dt else float("inf"),
+        "kernel": runner.kernel,
     }

@@ -215,6 +215,38 @@ class TestSieveCli:
         assert manifest["command"] == "sieve"
         assert manifest["summary"]["tested_count"] == 15000
 
+    @pytest.mark.parametrize("args", [
+        ["--limit", "1e6", "--p1", "3,5,7", "--p2", "11,13,17", "--sieve-primes", "19..47",
+         "--small-cutoff", "1e4"],
+        ["--limit", "3e6", "--p1", "3,5,7,11", "--p2", "13,17,19", "--sieve-primes", "23..199",
+         "--small-cutoff", "2e5"],
+    ], ids=["pipeline", "sieve-scaled"])
+    @pytest.mark.parametrize("threads", ["1", "4"])
+    def test_kernels_write_the_same_files(self, monkeypatch, tmp_path, args, threads):
+        # the compiled and the numpy stream kernel, each through a stop and a
+        # resume: byte-identical CSV and checkpoint, and manifests that differ
+        # only by the kernel's name (and the times and paths of the run)
+        from onegenus import cli as climod
+        from onegenus import sieve
+
+        compiled = "c" if sieve._stream_kernel() else "numpy"
+        runs = []
+        for kernel in (compiled, "numpy"):
+            if kernel == "numpy":
+                monkeypatch.setattr(sieve, "_stream_kernel", lambda: None)
+            out, ck = str(tmp_path / f"{kernel}.csv"), str(tmp_path / f"{kernel}.json")
+            run = ["sieve", *args, "--threads", threads, "--checkpoint", ck, "--out", out]
+            assert climod.main([*run, "--stop-after-chunks", "3"]) == 0
+            assert climod.main([*run, "--resume"]) == 0
+            with open(out + ".manifest.json") as fh:
+                manifest = json.load(fh)
+            assert manifest.pop("stream_kernel") == kernel
+            for key in ("started", "finished", "outputs"):
+                del manifest[key]
+            with open(out, "rb") as csv, open(ck, "rb") as checkpoint:
+                runs.append((csv.read(), checkpoint.read(), manifest))
+        assert runs[0] == runs[1]
+
     def test_manifest_replay_reproduces_bytes(self, cli, tmp_path):
         out1 = str(tmp_path / "a.csv")
         out2 = str(tmp_path / "b.csv")
@@ -345,7 +377,7 @@ class TestSieveCli:
         assert climod.main([*args, "--stop-after-chunks", "2"]) == 0
         assert climod.main([*args, "--resume"]) == 0
         line = re.compile(r"\[sieve\] chunk (\d)/6 \(outer \1/6\), stream survivors so far: \d+, "
-                          r"(\S+) words/s, ETA (\d+):(\d\d):(\d\d)")
+                          r"(\S+) words/s \((?:c|numpy) kernel\), ETA (\d+):(\d\d):(\d\d)")
         found = [f for f in map(line.fullmatch, capsys.readouterr().err.splitlines()) if f]
         assert [int(f[1]) for f in found] == [1, 2, 3, 4, 5, 6]
         # after --resume the rate counts only the words of the resumed run

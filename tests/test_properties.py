@@ -6,8 +6,10 @@ the continued-fraction unit and class number of Q(sqrt(k)).
 Examples are derandomized and bounded so the suite stays fast and repeatable.
 """
 import math
+from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from mpmath import mp
@@ -219,3 +221,24 @@ def test_sieve_block_matches_python_ints(config, data):
     assert valid == expect_valid
     assert out == expect_out
     assert tally.tolist() == expect_tally
+
+
+@settings(PROPERTY, max_examples=100)
+@given(sieve_configs(), st.data())
+def test_compiled_kernel_matches_numpy_kernel(config, data):
+    # any outer and inner spans, and any block size, which sets the order of
+    # the words and so of the survivors
+    runner = sieve._Runner(config)
+    if runner.kernel != "c":
+        pytest.skip("the compiled stream kernel cannot be built here")
+    lo = data.draw(st.integers(0, runner.n_outer))
+    hi = data.draw(st.integers(lo, runner.n_outer))
+    start = data.draw(st.integers(0, runner.n_inner))
+    stop = data.draw(st.integers(start, runner.n_inner))
+    block = data.draw(st.integers(1, runner.n_inner + 1))
+    with mock.patch.object(sieve, "_BLOCK", block):
+        got = runner.process_range(lo, hi, (start, stop))
+        expect = runner._process_range_numpy(lo, hi, (start, stop))
+    assert got[0] == expect[0]
+    assert got[1].tolist() == expect[1].tolist()
+    assert got[2:] == expect[2:] == (got[2], (hi - lo) * (stop - start))

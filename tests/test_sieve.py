@@ -3,6 +3,12 @@ import json
 import math
 import os
 import random
+import shutil
+import subprocess
+import sys
+import tempfile
+from importlib import resources
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -31,6 +37,16 @@ PIPELINE = dict(
     sieve_primes=(19, 23, 29, 31, 37, 41, 43, 47),
     limit=10**6,
     small_cutoff=10**4,
+)
+
+
+# the criterion-8 acceptance config: 9072 outer x 1800 inner words
+CRITERION8 = dict(
+    p1_primes=(3, 5, 7, 11, 13, 17),
+    p2_primes=(19, 23, 29),
+    sieve_primes=tuple(p for p in sieve.default_sieve_primes() if p >= 53),
+    limit=10**10,
+    small_cutoff=10**7,
 )
 
 
@@ -517,42 +533,69 @@ class TestChunkSpans:
         _same_outcome(run_sieve(SieveConfig(**params), checkpoint_path=str(ck), resume=True), whole)
 
 
+def _python_int_oracle(config: SieveConfig, runner, words) -> tuple[int, list[int], list[int]]:
+    """(valid bits, survivors in word and bit order, per-prime tally) of the
+    words, each below 2m, sieved one candidate at a time in Python ints."""
+    m = runner.m
+    luts = [sieve.eliminated_residues(q) for q in runner.primes]
+    valid, out, tally = 0, [], [0] * len(runner.primes)
+    for x in (int(v) % m for v in words):
+        for k in range(32):
+            n = x + k * m
+            if not (config.small_cutoff <= n <= config.limit and n % 4 in (0, 3)):
+                continue
+            valid += 1
+            hit = next((i for i, q in enumerate(runner.primes) if luts[i][n % q]), None)
+            if hit is None:
+                out.append(n)
+            else:
+                tally[hit] += 1
+    return valid, out, tally
+
+
+def _compiled_runner(config: SieveConfig):
+    runner = sieve._Runner(config)
+    if runner.kernel != "c":
+        pytest.skip("the compiled stream kernel cannot be built here")
+    return runner
+
+
 class TestTopOfRange:
-    """One block at |d| ~ 9.8*10^18, where limit - a no longer fits in int64."""
+    """The last outer residue's first 2048 inner words at |d| ~ 9.8*10^18, where
+    limit - a no longer fits in int64 and survivors pass 2^63."""
 
     @pytest.mark.parametrize("sieve_primes", [None, (53,)], ids=["default", "one-prime"])
     def test_block_matches_python_ints(self, sieve_primes):
         params = {} if sieve_primes is None else {"sieve_primes": sieve_primes}
         config = SieveConfig(limit=98 * 10**17, **params)
         runner = sieve._Runner(config)
-        m = runner.m
         a = runner.outer_base[runner.n_outer - 1] + runner._gen_contrib(0, 2048)
+        for x in (int(v) % runner.m for v in a):
+            assert not any(sieve.eliminated_residues(p)[x % p]
+                           for p in config.p1_primes + config.p2_primes)
         out: list[int] = []
         tally = np.zeros(len(runner.primes), dtype=np.int64)
         valid = runner._sieve_block(a, out, tally)
-
-        luts = {p: sieve.eliminated_residues(p) for p in config.p1_primes + config.p2_primes}
-        sieve_luts = [sieve.eliminated_residues(q) for q in runner.primes]
-        expect_valid, expect_out = 0, []
-        expect_tally = [0] * len(runner.primes)
-        for x in (int(v) % m for v in a):
-            assert not any(lut[x % p] for p, lut in luts.items())
-            for k in range(32):
-                n = x + k * m
-                if not (config.small_cutoff <= n <= config.limit and n % 4 in (0, 3)):
-                    continue
-                expect_valid += 1
-                hit = next((i for i, q in enumerate(runner.primes) if sieve_luts[i][n % q]), None)
-                if hit is None:
-                    expect_out.append(n)
-                else:
-                    expect_tally[hit] += 1
+        expect_valid, expect_out, expect_tally = _python_int_oracle(config, runner, a)
         assert valid == expect_valid
         assert 0 < expect_valid < 2048 * 32  # the top bit is valid only for a <= limit mod m
-        assert sorted(out) == sorted(expect_out)
+        assert out == expect_out
         assert tally.tolist() == expect_tally
         if sieve_primes is not None:
             assert expect_out
+
+    @pytest.mark.parametrize("sieve_primes", [None, (53,)], ids=["default", "one-prime"])
+    def test_compiled_kernel_matches_python_ints(self, sieve_primes):
+        params = {} if sieve_primes is None else {"sieve_primes": sieve_primes}
+        config = SieveConfig(limit=98 * 10**17, **params)
+        runner = _compiled_runner(config)
+        n = runner.n_outer
+        out, tally, valid, words = runner.process_range(n - 1, n, (0, 2048))
+        a = runner.outer_base[n - 1] + runner._gen_contrib(0, 2048)
+        assert (valid, out, tally.tolist()) == _python_int_oracle(config, runner, a)
+        assert words == 2048
+        if sieve_primes is not None:
+            assert max(out) > 2**63  # uint64 survivors, above the int64 range
 
     def test_pstage_count_at_the_paper_limit(self):
         # the P1/P2 stage of a whole run to 9.8*10^18, counted without the stream
@@ -564,6 +607,94 @@ class TestTopOfRange:
         # 3 eliminates n = 2 (mod 3), so the valid n = 8 or 11 (mod 12)
         assert tally[3] == sum((hi - r) // 12 - (lo - 1 - r) // 12 for r in (8, 11))
         assert alive == 877_265_694_611_341
+
+
+class TestStreamKernel:
+    """The compiled stream kernel against the numpy one, and the fallback to it."""
+
+    def test_loads_where_a_compiler_exists(self):
+        if shutil.which("cc") is None:
+            pytest.skip("no cc on PATH")
+        assert sieve._stream_kernel() is not None
+        assert run_sieve(SieveConfig(**PIPELINE)).kernel == "c"
+        assert run_sieve(SieveConfig(**{**SMALL, "limit": 2000})).kernel is None  # no stream
+
+    def test_source_is_package_data_and_names_the_cache(self, monkeypatch, tmp_path):
+        source = resources.files("onegenus").joinpath("_stream.c")
+        assert source.read_bytes() == Path(sieve.__file__).with_name("_stream.c").read_bytes()
+        if shutil.which("cc") is None:
+            pytest.skip("no cc on PATH")
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+        assert sieve._stream_kernel.__wrapped__() is not None
+        [built] = os.listdir(tmp_path / "onegenus")
+        assert built.startswith(f"stream-{hashlib.sha256(source.read_bytes()).hexdigest()[:24]}-")
+
+    @pytest.mark.parametrize("failure", ["no-compiler", "unwritable-cache", "corrupt-so"])
+    def test_falls_back_to_numpy(self, monkeypatch, tmp_path, failure):
+        config = SieveConfig(**PIPELINE)
+        whole = run_sieve(config)
+        ck_whole = tmp_path / "ck-whole.json"
+        run_sieve(config, checkpoint_path=str(ck_whole), max_chunks=5)
+
+        # no directory can be made under a file, so the temp-dir fallback fails too
+        blocked = tmp_path / "file"
+        blocked.write_text("")
+        monkeypatch.setattr(tempfile, "tempdir", str(blocked))
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
+        if failure == "no-compiler":
+            monkeypatch.setenv("PATH", str(tmp_path / "empty"))
+        elif failure == "unwritable-cache":
+            monkeypatch.setenv("XDG_CACHE_HOME", str(blocked))
+        else:
+            if shutil.which("cc") is None:
+                pytest.skip("no cc on PATH")
+            # built in a child: this process must not map the file it corrupts
+            subprocess.run([sys.executable, "-c", "from onegenus import sieve\n"
+                            "assert sieve._stream_kernel()"], check=True)
+            for built in (tmp_path / "cache" / "onegenus").iterdir():
+                built.write_bytes(b"not a shared object")
+        monkeypatch.setattr(sieve, "_stream_kernel", sieve._stream_kernel.__wrapped__)
+        assert sieve._stream_kernel() is None
+
+        ck = tmp_path / "ck.json"
+        partial = run_sieve(config, checkpoint_path=str(ck), max_chunks=5)
+        assert not partial.completed
+        assert ck.read_bytes() == ck_whole.read_bytes()
+        resumed = run_sieve(config, checkpoint_path=str(ck), resume=True)
+        assert resumed.kernel == "numpy"
+        _same_outcome(resumed, whole)
+
+    def test_survivor_buffer_overflow_retries(self, monkeypatch):
+        # a one-survivor buffer fills at once: each call that fills it must
+        # leave no tally or survivor behind, and the retry must be whole
+        monkeypatch.setattr(sieve, "_SURVIVOR_CAPACITY", 1)
+        runner = _compiled_runner(SieveConfig(**PIPELINE))
+        got = runner.process_range(0, runner.n_outer)
+        expect = runner._process_range_numpy(0, runner.n_outer)
+        assert len(got[0]) > 16 and runner._capacity >= len(got[0])
+        assert got[0] == expect[0]
+        assert got[1].tolist() == expect[1].tolist()
+        assert got[2:] == expect[2:]
+
+    @pytest.mark.parametrize("params, chunks", [(PIPELINE, 5), (CRITERION8, 20)],
+                             ids=["pipeline", "criterion8"])
+    def test_kernels_agree_through_stop_and_resume(self, monkeypatch, tmp_path, params, chunks):
+        config = SieveConfig(**params)
+        compiled = "c" if sieve._stream_kernel() else "numpy"
+        runs = []
+        for kernel in (compiled, "numpy"):
+            if kernel == "numpy":
+                monkeypatch.setattr(sieve, "_stream_kernel", lambda: None)
+            for workers in (1, 4):
+                ck = tmp_path / f"{kernel}-{workers}.json"
+                run_sieve(config, workers=workers, checkpoint_path=str(ck), max_chunks=chunks)
+                stopped = ck.read_bytes()
+                out = run_sieve(config, workers=workers, checkpoint_path=str(ck), resume=True)
+                assert out.completed and out.kernel == kernel
+                runs.append((stopped, out))
+        for stopped, out in runs[1:]:
+            assert stopped == runs[0][0]  # the survivors of each chunk, in order
+            _same_outcome(out, runs[0][1])
 
 
 class TestWitness:
