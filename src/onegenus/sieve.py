@@ -344,13 +344,6 @@ def _pstage_count(config: SieveConfig) -> tuple[int, int, dict[int, int]]:
     return valid_total, alive, tallies
 
 
-def _kernel_key(source: bytes, flags: list[str], version: bytes) -> str:
-    """Cache name of a compiled kernel: sha256 of its source, then of its
-    flags and the compiler's --version."""
-    build = hashlib.sha256(" ".join(flags).encode() + b"\0" + version).hexdigest()
-    return f"{hashlib.sha256(source).hexdigest()[:24]}-{build[:16]}"
-
-
 @functools.cache
 def _stream_kernel():
     """The compiled stream kernel, _stream.c, or None where it cannot be built
@@ -358,8 +351,9 @@ def _stream_kernel():
 
     `cc` compiles it in a subprocess into $XDG_CACHE_HOME/onegenus (default
     ~/.cache/onegenus), or, when that fails, into a directory of this user's
-    under tempfile.gettempdir().  The file is named by _kernel_key and moved
-    into place with os.replace, so concurrent first runs are safe.  A cached
+    under tempfile.gettempdir().  The file is named by the sha256 of the
+    source, then that of the flags and `cc --version`, and moved into place
+    with os.replace, so concurrent first runs are safe.  A cached
     file that does not load is not rebuilt; the next directory is tried.
     """
     # only a process that sieves pays for these imports and the compiler
@@ -376,7 +370,8 @@ def _stream_kernel():
         version = subprocess.run(["cc", "--version"], capture_output=True, check=True).stdout
     except (OSError, subprocess.SubprocessError):
         return None
-    name = f"stream-{_kernel_key(source, flags, version)}.so"
+    build = hashlib.sha256(" ".join(flags).encode() + b"\0" + version).hexdigest()
+    name = f"stream-{hashlib.sha256(source).hexdigest()[:24]}-{build[:16]}.so"
     cache = os.environ.get("XDG_CACHE_HOME") or os.path.join(os.path.expanduser("~"), ".cache")
     for folder in (os.path.join(cache, "onegenus"),
                    os.path.join(tempfile.gettempdir(), f"onegenus-{os.getuid()}")):
@@ -490,9 +485,12 @@ class _Runner:
         _process_range_numpy, which is also its oracle.  A survivor buffer
         that fills is discarded and the call repeated with a larger one.
         """
+        start, stop = inner or (0, self.n_inner)
+        if not (0 <= lo <= hi <= self.n_outer and 0 <= start <= stop <= self.n_inner):
+            raise ValueError(f"spans {lo}:{hi} of {self.n_outer} outer and {start}:{stop} "
+                             f"of {self.n_inner} inner indices are out of range")
         if self._kernel is None:
             return self._process_range_numpy(lo, hi, inner)
-        start, stop = inner or (0, self.n_inner)
         tally = np.zeros(len(self.primes), dtype=np.int64)
         counts = np.zeros(2, dtype=np.int64)
         while True:
