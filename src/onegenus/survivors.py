@@ -1,13 +1,21 @@
 """Survivor verification and bulk ambiguous-form scans.
 
 Candidates that pass the sieve (or sit below its trusted cutoff) are settled
-here by exact form enumeration.  For whole-range scans, `ambiguous_census`
-buckets every reduced form (a, b, c) with 4ac - b^2 <= limit into per-|d|
-class / ambiguous counts.  Per a, the forms with 0 < b < a and c > a repeat
-with period 4a in |d|, so beyond a short head they are one periodic pattern,
-added row by row to cache-sized windows of the count array; this is how the
-idoneal scan, the primitive class numbers and the whole-range cross checks
-stay fast.
+here by exact form enumeration.  Whole-range scans take two routes.
+
+`ocpg_values` and `idoneal_scan` only ask whether -|d| has a reduced
+non-ambiguous form (a, b, c), 0 < b < a < c; none exists exactly when every
+class is ambiguous, i.e. one class per genus.  Per a, such a form exists iff
+|d| mod 4a is -b^2 for some 0 < b < a and |d| > 4a^2 - b^2, so the scan is a
+sieve over a mask of candidates: strided kills for small a, then one gather
+per a on the few survivors, stopping once 3a^2 passes the largest of them.
+
+`ambiguous_census` buckets every reduced form (a, b, c) with 4ac - b^2 <=
+limit into per-|d| class / ambiguous counts.  Per a, the forms with
+0 < b < a and c > a repeat with period 4a in |d|, so beyond a short head
+they are one periodic pattern, added row by row to cache-sized windows of
+the count array.  The primitive class numbers start from it, and it is the
+tests' independent oracle for the sieve.
 """
 from __future__ import annotations
 
@@ -114,21 +122,67 @@ def valid_mask(limit: int) -> np.ndarray:
     return m
 
 
+# a <= _DENSE_A kill by strided writes on the whole candidate mask; the
+# larger a by one gather per a on the compacted survivors.
+_DENSE_A = 12
+
+
+def _drop_nonambiguous(candidates: np.ndarray) -> np.ndarray:
+    """Sorted int64 indices n of the True entries of candidates (a bool mask
+    over |d|) where -n has no reduced non-ambiguous form; overwrites candidates.
+
+    Such a form is (a, b, c) with 0 < b < a < c, that is b^2 = -n (mod 4a)
+    and n > 4a^2 - b^2, so per a and residue r = n mod 4a only the largest b
+    with -b^2 = r counts: n is killed iff n > 4a^2 - b^2 for it.  As b < a,
+    no a with 3a^2 >= n kills n, and the scan stops once every survivor is
+    that small.
+    """
+    n_max = candidates.size - 1
+    a_max = math.isqrt(max(n_max, 0) // 3)
+    for a in range(2, min(_DENSE_A, a_max) + 1):
+        fa = 4 * a
+        for r, t in zip(*_kill_bounds(a)):
+            candidates[t + 1 + (r - t - 1) % fa::fa] = False
+    alive = np.flatnonzero(candidates)
+    for a in range(max(_DENSE_A + 1, 2), a_max + 1):
+        lo = np.searchsorted(alive, 3 * a * a, side="right")
+        if lo == alive.size:
+            break
+        fa = 4 * a
+        r, t = _kill_bounds(a)
+        bound = np.full(fa, np.iinfo(np.int64).max)
+        bound[r] = t
+        tail = alive[lo:]
+        alive = np.concatenate((alive[:lo], tail[tail <= bound[tail % fa]]))
+    return alive
+
+
+def _kill_bounds(a: int) -> tuple[np.ndarray, np.ndarray]:
+    """Residues r = -b^2 (mod 4a) over 0 < b < a, and 4a^2 - b^2 for the largest such b."""
+    b = np.arange(a - 1, 0, -1, dtype=np.int64)  # descending: unique keeps the largest b
+    r, first = np.unique(-b * b % (4 * a), return_index=True)
+    return r, 4 * a * a - b[first] ** 2
+
+
 def ocpg_values(limit: int) -> list[int]:
-    """All |d| <= limit whose reduced forms are all ambiguous (census-based)."""
-    h, amb = ambiguous_census(limit)
-    mask = valid_mask(limit) & (h > 0) & (h == amb)
-    return [int(v) for v in np.flatnonzero(mask)]
+    """All valid |d| <= limit whose reduced forms are all ambiguous.
+
+    The same set as the |d| with h == amb in ambiguous_census(limit), found
+    by sieving valid_mask(limit) instead of counting every form.
+    """
+    return _drop_nonambiguous(valid_mask(limit)).tolist()
 
 
 def idoneal_scan(max_n: int) -> list[int]:
-    """All n <= max_n such that every reduced form of discriminant -4n is ambiguous."""
+    """All n <= max_n such that every reduced form of discriminant -4n is ambiguous.
+
+    ocpg_values' sieve, run on the multiples of 4 up to 4 max_n.
+    """
     if max_n < 1:
         return []
-    h, amb = ambiguous_census(4 * max_n)
-    ns = np.arange(1, max_n + 1)
-    keep = h[4 * ns] == amb[4 * ns]
-    return [int(n) for n in ns[keep]]
+    fours = np.zeros(4 * max_n + 1, bool)
+    fours[4::4] = True
+    return (_drop_nonambiguous(fours) // 4).tolist()
 
 
 def primitive_class_counts(limit: int) -> np.ndarray:

@@ -58,7 +58,9 @@ def test_criterion_2_sieve_vs_oracle(pipeline_outcome):
             flagged.add(n)
     # independent oracle: whole-range ambiguous census (periodic patterns per a,
     # no form enumeration)
-    oracle = set(survivors.ocpg_values(10**6))
+    h, amb = survivors.ambiguous_census(10**6)
+    oracle = set(np.flatnonzero(survivors.valid_mask(10**6) & (h == amb)).tolist())
+    assert set(survivors.ocpg_values(10**6)) == oracle
     dt = time.time() - t0
     assert oracle <= set(out.survivors), "sieve dropped a one-class-per-genus value"
     assert flagged == oracle

@@ -26,6 +26,11 @@ PROPERTY = settings(derandomize=True, deadline=None, database=None, max_examples
 CENSUS_LIMIT = 2000
 CENSUS = survivors.ambiguous_census(CENSUS_LIMIT)
 
+# the census route to one class per genus, for the sieve in ocpg_values
+OCPG_LIMIT = 2 * 10**5
+_H, _AMB = survivors.ambiguous_census(OCPG_LIMIT)
+OCPG_ORACLE = survivors.valid_mask(OCPG_LIMIT) & (_H == _AMB)
+
 # |d| = 0 or 3 (mod 4), |d| >= 3
 abs_discriminants = st.integers(1, 10**9).map(lambda i: 4 * (i // 2) + (3 if i % 2 else 0))
 
@@ -54,6 +59,16 @@ def test_enumeration_matches_census(n):
     fs = enumerate_reduced(-n)
     assert len(fs) == h[n]
     assert sum(f.is_ambiguous() for f in fs) == amb[n]
+
+
+@PROPERTY
+@given(st.integers(-10, OCPG_LIMIT), st.integers(1, 40))
+def test_ocpg_sieve_matches_census(limit, dense):
+    expected = np.flatnonzero(OCPG_ORACLE[: max(limit + 1, 0)]).tolist()
+    idoneal = [v // 4 for v in expected if v % 4 == 0]
+    with mock.patch.object(survivors, "_DENSE_A", dense):
+        assert survivors.ocpg_values(limit) == expected
+        assert survivors.idoneal_scan(limit // 4) == idoneal
 
 
 @PROPERTY

@@ -28,6 +28,18 @@ def _census_strided(limit: int) -> tuple[np.ndarray, np.ndarray]:
     return h, amb
 
 
+def _census_ocpg(limit: int) -> list[int]:
+    """The census route to ocpg_values: valid |d| with h == amb."""
+    h, amb = survivors.ambiguous_census(limit)
+    return np.flatnonzero(survivors.valid_mask(limit) & (h == amb)).tolist()
+
+
+def _census_idoneal(max_n: int) -> list[int]:
+    """The census route to idoneal_scan: n with h == amb at 4n."""
+    h, amb = survivors.ambiguous_census(4 * max_n)
+    return [n for n in range(1, max_n + 1) if h[4 * n] == amb[4 * n]]
+
+
 class TestFullCheck:
     def test_examples(self):
         rep = survivors.full_check(-420)
@@ -71,6 +83,7 @@ class TestCensus:
         assert np.array_equal(h, ho) and np.array_equal(amb, ao), limit
         expected = [n for n in range(3, limit + 1) if n % 4 in (0, 3) and ho[n] == ao[n]]
         assert survivors.ocpg_values(limit) == expected
+        assert survivors.idoneal_scan(limit) == (_census_idoneal(limit) if limit >= 1 else [])
         m = survivors.valid_mask(limit)
         assert m.tolist() == [n >= 3 and n % 4 in (0, 3) for n in range(max(limit + 1, 1))]
 
@@ -101,6 +114,42 @@ class TestCensus:
             rep = survivors.full_check(-n)
             assert rep.one_class_per_genus == (h[n] == amb[n]), n
             assert rep.class_number == h[n], n
+
+
+class TestNonAmbiguousSieve:
+    """ocpg_values and idoneal_scan sieve for a non-ambiguous form; the census counts every form."""
+
+    @pytest.mark.parametrize("limit", [10**5, 123_457, 10**6])
+    def test_ocpg_equals_census(self, limit):
+        assert survivors.ocpg_values(limit) == _census_ocpg(limit)
+
+    @pytest.mark.parametrize("phase", ["gather only", "strided only"])
+    def test_each_phase_alone_equals_census(self, monkeypatch, phase):
+        for limit in (10**5, 123_457):
+            dense = 1 if phase == "gather only" else math.isqrt(limit // 3) + 1
+            monkeypatch.setattr(survivors, "_DENSE_A", dense)
+            assert survivors.ocpg_values(limit) == _census_ocpg(limit), limit
+            assert survivors.idoneal_scan(limit // 4) == _census_idoneal(limit // 4), limit
+
+    @pytest.mark.parametrize("max_n", [300, 2000, 25_000])
+    def test_idoneal_equals_census(self, max_n):
+        assert survivors.idoneal_scan(max_n) == _census_idoneal(max_n)
+
+    def test_kill_bounds_take_the_largest_b(self):
+        for a in range(2, 40):
+            fa = 4 * a
+            brute = {}
+            for b in range(1, a):
+                r = -b * b % fa
+                brute[r] = min(brute.get(r, fa * a), fa * a - b * b)
+            r, t = survivors._kill_bounds(a)
+            assert dict(zip(r.tolist(), t.tolist())) == brute, a
+
+    def test_default_cutoff_adds_nothing_past_7392(self):
+        # the pass-through range [3, 10^7) of the default sieve config
+        vals = survivors.ocpg_values(10**7 - 1)
+        assert vals == survivors.ocpg_values(10**4)
+        assert len(vals) == 101 and vals[-1] == 7392
 
 
 class TestIdoneal:
