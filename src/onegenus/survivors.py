@@ -137,14 +137,13 @@ def _drop_nonambiguous(candidates: np.ndarray) -> np.ndarray:
     no a with 3a^2 >= n kills n, and the scan stops once every survivor is
     that small.
     """
-    n_max = candidates.size - 1
-    a_max = math.isqrt(max(n_max, 0) // 3)
+    a_max = math.isqrt(max(candidates.size - 1, 0) // 3)
     for a in range(2, min(_DENSE_A, a_max) + 1):
         fa = 4 * a
         for r, t in zip(*_kill_bounds(a)):
             candidates[t + 1 + (r - t - 1) % fa::fa] = False
     alive = np.flatnonzero(candidates)
-    for a in range(max(_DENSE_A + 1, 2), a_max + 1):
+    for a in range(_DENSE_A + 1, a_max + 1):
         lo = np.searchsorted(alive, 3 * a * a, side="right")
         if lo == alive.size:
             break

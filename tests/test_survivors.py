@@ -83,7 +83,7 @@ class TestCensus:
         assert np.array_equal(h, ho) and np.array_equal(amb, ao), limit
         expected = [n for n in range(3, limit + 1) if n % 4 in (0, 3) and ho[n] == ao[n]]
         assert survivors.ocpg_values(limit) == expected
-        assert survivors.idoneal_scan(limit) == (_census_idoneal(limit) if limit >= 1 else [])
+        assert survivors.idoneal_scan(limit) == _census_idoneal(limit)
         m = survivors.valid_mask(limit)
         assert m.tolist() == [n >= 3 and n % 4 in (0, 3) for n in range(max(limit + 1, 1))]
 
