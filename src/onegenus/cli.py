@@ -15,6 +15,7 @@ older format or for another config on resume, 3 internal verification failure
 from __future__ import annotations
 
 import argparse
+import contextlib
 import datetime
 import json
 import os
@@ -75,18 +76,23 @@ def write_report(data, path: str | None, fmt: str = "json") -> None:
         lines = [",".join(header)]
         lines.extend(",".join(str(v) for v in row) for row in rows)
         text = "\n".join(lines) + "\n"
-    _write_text(text, path)
+    with _open_output(path) as fh:
+        fh.write(text.encode())
 
 
-def _write_text(text: str, path: str | None) -> None:
+@contextlib.contextmanager
+def _open_output(path: str | None):
+    """A binary handle on path, or on the bytes under stdout when path is None."""
     if path is None:
-        sys.stdout.write(text)
-    else:
-        try:
-            with open(path, "w") as fh:
-                fh.write(text)
-        except OSError as exc:
-            raise OSError(f"cannot write report to {path}: {exc}") from exc
+        sys.stdout.flush()
+        yield sys.stdout.buffer
+        sys.stdout.buffer.flush()
+        return
+    try:
+        with open(path, "wb") as fh:
+            yield fh
+    except OSError as exc:
+        raise OSError(f"cannot write report to {path}: {exc}") from exc
 
 
 def _int_arg(text: str) -> int:
@@ -209,12 +215,11 @@ def _cmd_sieve(args) -> int:
             file=sys.stderr,
         )
         return 0
-    # one f-string per row: this CSV is most of what a sieve run writes
-    rows = [f"{n},{r},{s}\n" for n, r, s in outcome.survivor_rows()]
-    _write_text("abs_d,mod4_class,passed_sieve\n" + "".join(rows), args.out)
+    with _open_output(args.out) as fh:
+        sieve.write_survivor_csv(outcome, fh)
     print(
         f"[sieve] tested {outcome.tested_count} candidates <= {config.limit}: "
-        f"{outcome.eliminated_count} eliminated, {len(outcome.survivors)} survivors "
+        f"{outcome.eliminated_count} eliminated, {outcome.survivor_count} survivors "
         f"({outcome.direct_count} below cutoff {config.small_cutoff})",
         file=sys.stderr,
     )
@@ -232,7 +237,7 @@ def _cmd_sieve(args) -> int:
             "summary": {
                 "tested_count": outcome.tested_count,
                 "eliminated_count": outcome.eliminated_count,
-                "survivor_count": len(outcome.survivors),
+                "survivor_count": outcome.survivor_count,
                 "direct_count": outcome.direct_count,
                 "words_processed": outcome.words_processed,
             },

@@ -246,22 +246,66 @@ def witness_form(d: int, p: int) -> Witness:
 
 @dataclass
 class SieveOutcome:
-    survivors: list[int]
+    direct: np.ndarray  # pass-through values below small_cutoff, ascending int64
+    stream: list[int]   # stream survivors, at or above small_cutoff, ascending
     eliminated_count: int
     tested_count: int
     per_prime_tally: dict[int, int]
     config: SieveConfig
     completed: bool = True
-    direct_count: int = 0
     words_processed: int = 0
     stream_valid: int = 0
     kernel: str | None = None  # the stream kernel that ran, "c" or "numpy"; None without a stream
 
-    def survivor_rows(self):
-        """CSV rows (abs_d, mod4_class, passed_sieve), ascending."""
-        cutoff = self.config.small_cutoff
-        for n in self.survivors:
-            yield n, n % 4, 1 if n >= cutoff else 0
+    @property
+    def direct_count(self) -> int:
+        return int(self.direct.size)
+
+    @property
+    def survivor_count(self) -> int:
+        return self.direct_count + len(self.stream)
+
+    @functools.cached_property
+    def survivors(self) -> list[int]:
+        """Every survivor as a Python int, ascending; built on first access."""
+        return self.direct.tolist() + self.stream
+
+
+_CSV_BLOCK = 1 << 16  # pass-through values rendered per numpy pass
+_CSV_TAIL = np.frombuffer(b",0,0\n", dtype=np.uint8)  # ",{n % 4},0\n" with n % 4 = 0
+_POW10 = 10 ** np.arange(1, 19, dtype=np.int64)  # the least values of 2..19 digits
+
+
+def write_survivor_csv(outcome: SieveOutcome, fh) -> None:
+    """Write the survivor CSV (abs_d, mod4_class, passed_sieve) to the binary file fh.
+
+    Rows ascend: the pass-through values with passed_sieve 0, then the stream
+    survivors with 1.  The pass-through rows are rendered in numpy, _CSV_BLOCK
+    values at a time, so memory stays bounded however many there are: per run
+    of values of one decimal width w, a uint8 matrix of w digits, ",",
+    "0" + n % 4 and ",0\\n" per row, written as its bytes.  The sparse stream
+    rows, which may pass 2^64, are formatted one by one.
+    """
+    fh.write(b"abs_d,mod4_class,passed_sieve\n")
+    direct = outcome.direct
+    for start in range(0, direct.size, _CSV_BLOCK):
+        block = direct[start:start + _CSV_BLOCK]
+        # the values ascend, so each decimal width is one run of the block
+        cuts = [0, *np.searchsorted(block, _POW10).tolist(), block.size]
+        for w, (lo, hi) in enumerate(zip(cuts, cuts[1:]), 1):
+            if lo == hi:
+                continue
+            rest = block[lo:hi]
+            # one contiguous row per byte position of the CSV rows
+            columns = np.empty((w + _CSV_TAIL.size, rest.size), dtype=np.uint8)
+            columns[w:] = _CSV_TAIL[:, None]
+            columns[w + 1] += (rest & 3).astype(np.uint8)
+            for j in range(w - 1, -1, -1):
+                quotient = rest // 10
+                np.subtract(rest + 48, quotient * 10, out=columns[j], casting="unsafe")
+                rest = quotient
+            fh.write(columns.T.tobytes())
+    fh.write("".join(f"{n},{n % 4},1\n" for n in outcome.stream).encode())
 
 
 def count_valid(limit: int) -> int:
@@ -718,39 +762,38 @@ def run_sieve(
                 )
     completed = len(todo) == len(pending)
 
-    # pass-through values lie below small_cutoff and stream survivors at or above it
-    survivors = direct.tolist() + sorted(state["survivors"])
     tally = {p: int(c) for p, c in p_tallies.items()}
     tally.update(zip(config.sieve_primes, state["bit_tally"]))
     eliminated = sum(tally.values())
     tested = int(direct.size) + valid_total
+    outcome = SieveOutcome(
+        direct=direct,
+        stream=sorted(state["survivors"]),
+        eliminated_count=eliminated,
+        tested_count=tested,
+        per_prime_tally=tally,
+        config=config,
+        completed=completed,
+        words_processed=state["words_processed"],
+        stream_valid=state["stream_valid"],
+        kernel=runner.kernel if runner else None,
+    )
 
     if completed:
         if state["stream_valid"] != alive_total:
             raise InternalCheckError(
                 f"stream covered {state['stream_valid']} valid candidates, P-stage count expected {alive_total}"
             )
-        if tested != len(survivors) + eliminated:
+        if tested != outcome.survivor_count + eliminated:
             raise InternalCheckError(
-                f"partition broken: tested {tested} != survivors {len(survivors)} + eliminated {eliminated}"
+                f"partition broken: tested {tested} != survivors {outcome.survivor_count} "
+                f"+ eliminated {eliminated}"
             )
         if tested != count_valid(config.limit):
             raise InternalCheckError(
                 f"tested {tested} != closed-form count {count_valid(config.limit)}"
             )
-
-    return SieveOutcome(
-        survivors=survivors,
-        eliminated_count=eliminated,
-        tested_count=tested,
-        per_prime_tally=tally,
-        config=config,
-        completed=completed,
-        direct_count=int(direct.size),
-        words_processed=state["words_processed"],
-        stream_valid=state["stream_valid"],
-        kernel=runner.kernel if runner else None,
-    )
+    return outcome
 
 
 def benchmark_stream(config: SieveConfig, min_words: int = 1 << 21) -> dict:

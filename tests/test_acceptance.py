@@ -4,6 +4,7 @@ Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
 lines and measured numbers.  The heavier criteria (2, 6) stay well inside
 their stated runtime budgets on commodity hardware.
 """
+import io
 import math
 import random
 import sys
@@ -237,9 +238,9 @@ def test_criterion_8_throughput():
 
 def test_criterion_9_determinism(tmp_path, pipeline_outcome):
     def rows_bytes(outcome):
-        lines = ["abs_d,mod4_class,passed_sieve"]
-        lines += [f"{a},{b},{c}" for a, b, c in outcome.survivor_rows()]
-        return "\n".join(lines).encode()
+        fh = io.BytesIO()
+        sieve.write_survivor_csv(outcome, fh)
+        return fh.getvalue()
 
     base = rows_bytes(pipeline_outcome)
     for workers in (4, 16):

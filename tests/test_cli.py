@@ -3,6 +3,7 @@ import json
 import os
 import re
 
+import numpy as np
 import pytest
 
 
@@ -148,7 +149,7 @@ class TestIntegerOptions:
 
         def stop(config, **kwargs):
             seen.append(config)
-            return SieveOutcome([], 0, 0, {}, config, completed=False)
+            return SieveOutcome(np.empty(0, dtype=np.int64), [], 0, 0, {}, config, completed=False)
 
         monkeypatch.setattr(climod.sieve, "run_sieve", stop)
         assert climod.main(["sieve", "--limit", "1.2345678901234567e18"]) == 0
@@ -246,6 +247,23 @@ class TestSieveCli:
             with open(out, "rb") as csv, open(ck, "rb") as checkpoint:
                 runs.append((csv.read(), checkpoint.read(), manifest))
         assert runs[0] == runs[1]
+
+    def test_sieve_never_builds_the_survivor_list(self, monkeypatch, tmp_path):
+        # the CSV, the summary line and the manifest read the pass-through
+        # array and the counts, never a Python int per survivor
+        from onegenus import cli as climod
+        from onegenus.sieve import SieveOutcome
+
+        def built(outcome):
+            raise AssertionError("the sieve command built SieveOutcome.survivors")
+
+        monkeypatch.setattr(SieveOutcome, "survivors", property(built))
+        out = str(tmp_path / "surv.csv")
+        assert climod.main([*SIEVE_ARGS, "--out", out]) == 0
+        with open(out) as fh:
+            rows = fh.read().splitlines()[1:]
+        with open(out + ".manifest.json") as fh:
+            assert json.load(fh)["summary"]["survivor_count"] == len(rows) > 0
 
     def test_manifest_replay_reproduces_bytes(self, cli, tmp_path):
         out1 = str(tmp_path / "a.csv")
@@ -354,7 +372,7 @@ class TestSieveCli:
 
         def stop(config, workers, **kwargs):
             seen.append(workers)
-            return SieveOutcome([], 0, 0, {}, config, completed=False)
+            return SieveOutcome(np.empty(0, dtype=np.int64), [], 0, 0, {}, config, completed=False)
 
         monkeypatch.setattr(climod.sieve, "run_sieve", stop)
         monkeypatch.setenv(climod.THREADS_ENV, "3")

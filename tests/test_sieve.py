@@ -1,4 +1,5 @@
 import hashlib
+import io
 import json
 import math
 import os
@@ -607,6 +608,65 @@ class TestTopOfRange:
         # 3 eliminates n = 2 (mod 3), so the valid n = 8 or 11 (mod 12)
         assert tally[3] == sum((hi - r) // 12 - (lo - 1 - r) // 12 for r in (8, 11))
         assert alive == 877_265_694_611_341
+
+
+def _oracle_csv(outcome) -> bytes:
+    """The survivor CSV rendered one row at a time, from the survivor list."""
+    cutoff = outcome.config.small_cutoff
+    rows = [f"{n},{n % 4},{int(n >= cutoff)}\n" for n in outcome.survivors]
+    return ("abs_d,mod4_class,passed_sieve\n" + "".join(rows)).encode()
+
+
+def _csv_bytes(outcome) -> bytes:
+    fh = io.BytesIO()
+    sieve.write_survivor_csv(outcome, fh)
+    return fh.getvalue()
+
+
+class TestSurvivorCsv:
+    """write_survivor_csv against the per-row rendering of the survivor list."""
+
+    def test_pass_through_across_decimal_widths(self):
+        # every valid value of 1 to 7 digits, 100, 1000, ..., 10^6 among them
+        out = run_sieve(SieveConfig(**{**PIPELINE, "small_cutoff": 10**6 + 1}))
+        assert {10**k for k in range(2, 7)} <= set(out.direct.tolist())
+        assert out.stream == [] and out.direct_count == sieve.count_valid(10**6)
+        assert _csv_bytes(out) == _oracle_csv(out)
+
+    @pytest.mark.parametrize("block", [1, 2, 3, 7, 64])
+    def test_block_seams(self, monkeypatch, small_outcome, block):
+        # 1099 pass-through values in blocks that split the runs of each width
+        assert small_outcome.direct_count > 64 and small_outcome.stream
+        monkeypatch.setattr(sieve, "_CSV_BLOCK", block)
+        assert _csv_bytes(small_outcome) == _oracle_csv(small_outcome)
+
+    @pytest.mark.parametrize("limit, cutoff", [(2, 10**7), (0, 2200), (2, 3), (0, 1)],
+                             ids=["limit-below-3", "limit-0", "cutoff-3", "cutoff-1"])
+    def test_empty(self, limit, cutoff):
+        out = run_sieve(SieveConfig(**{**SMALL, "limit": limit, "small_cutoff": cutoff}))
+        assert out.survivor_count == 0
+        assert _csv_bytes(out) == _oracle_csv(out) == b"abs_d,mod4_class,passed_sieve\n"
+
+    def test_stdout_equals_oracle(self, capsys, small_outcome):
+        from onegenus import cli
+
+        args = ["sieve", "--limit", "30000", "--p1", "3,5", "--p2", "7,11",
+                "--sieve-primes", "13..23", "--small-cutoff", "2200"]
+        assert cli.main(args) == 0
+        assert capsys.readouterr().out.encode() == _oracle_csv(small_outcome)
+
+    def test_stream_survivors_above_2_63(self):
+        # the one-prime stream of TestTopOfRange, after the last 1000
+        # valid values below the default cutoff 10^7, passed through
+        config = SieveConfig(limit=98 * 10**17, sieve_primes=(53,))
+        runner = sieve._Runner(config)
+        a = runner.outer_base[runner.n_outer - 1] + runner._gen_contrib(0, 2048)
+        stream: list[int] = []
+        runner._sieve_block(a, stream, np.zeros(len(runner.primes), dtype=np.int64))
+        assert max(stream) > 2**63
+        direct = np.array([n for n in range(10**7 - 2000, 10**7) if n % 4 in (0, 3)])
+        out = sieve.SieveOutcome(direct, sorted(stream), 0, 0, {}, config)
+        assert _csv_bytes(out) == _oracle_csv(out)
 
 
 class TestStreamKernel:
