@@ -234,6 +234,7 @@ def _cmd_sieve(args) -> int:
             "finished": datetime.datetime.now(datetime.timezone.utc).isoformat(),
             "outputs": {"survivors_csv": args.out, "checkpoint": args.checkpoint},
             "stream_kernel": outcome.kernel,
+            "stream_simd": outcome.simd,
             "summary": {
                 "tested_count": outcome.tested_count,
                 "eliminated_count": outcome.eliminated_count,

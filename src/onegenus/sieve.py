@@ -26,9 +26,15 @@ survivors fit in uint64 (limit < 2^64).  `cc` builds it on first use, in a
 subprocess, into $XDG_CACHE_HOME/onegenus (default ~/.cache/onegenus, else a
 directory under tempfile.gettempdir()), under a name hashed from its source,
 flags and compiler version.  It steps the inner contributions and their
-first-window residues with a mixed-radix odometer, runs the first window
-without branches and later primes only on words still alive.  Otherwise the
-numpy kernel runs, which is also the compiled one's test oracle.  A numpy
+first-window residues with a mixed-radix odometer.  Per outer residue it
+walks sub-blocks of 1024 inner words in passes: the valid masks, then one
+branchless loop per first-window prime, then the later primes on the
+compacted live words only.  The first two passes and the compaction run on
+AVX-512 (16-lane gathers and popcounts) where the CPU has it, else in plain
+C, chosen once per process at run time, so one cached file serves every CPU;
+_Runner.simd, SieveOutcome.simd and the manifest's stream_simd name the
+path.  Otherwise the numpy kernel runs, which is also the compiled one's
+test oracle.  A numpy
 pass sieves about _BLOCK words, few enough for its arrays to stay in L2
 cache: the block shifted by as many outer residues of the chunk as that
 holds, one at paper scale, where the inner set holds ~6*10^8 residues, and
@@ -64,6 +70,7 @@ import os
 import sys
 import time
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -256,6 +263,7 @@ class SieveOutcome:
     words_processed: int = 0
     stream_valid: int = 0
     kernel: str | None = None  # the stream kernel that ran, "c" or "numpy"; None without a stream
+    simd: str | None = None    # the compiled kernel's SIMD path, "avx512" or "none"; else None
 
     @property
     def direct_count(self) -> int:
@@ -316,13 +324,11 @@ def count_valid(limit: int) -> int:
 
 
 def _direct_values(config: SieveConfig) -> np.ndarray:
-    end = min(config.small_cutoff, config.limit + 1)
-    if end <= 3:
-        return np.empty(0, dtype=np.int64)
-    vals = np.concatenate(
-        [np.arange(3, end, 4, dtype=np.int64), np.arange(4, end, 4, dtype=np.int64)]
-    )
-    vals.sort()
+    # the valid values 3, 4, 7, 8, ... below the cutoff: the odd numbers
+    # from 3, with every second one lowered by 1, filled in place
+    n = count_valid(min(config.small_cutoff - 1, config.limit))
+    vals = np.arange(3, 3 + 2 * n, 2, dtype=np.int64)
+    vals[1::2] -= 1
     return vals
 
 
@@ -388,8 +394,50 @@ def _pstage_count(config: SieveConfig) -> tuple[int, int, dict[int, int]]:
     return valid_total, alive, tallies
 
 
+class _Kernel(NamedTuple):
+    """A loaded _stream.c: its entry point, the ctypes struct of its fixed
+    tables and the SIMD path it picked for this CPU, "avx512" or "none"."""
+    sieve_span: object
+    Tables: type
+    simd: str
+
+
+def _kernel_flags() -> list[str]:
+    import platform
+
+    # popcount must compile to one instruction, not gcc's software fallback
+    return ["-O3", "-mpopcnt"] if platform.machine().lower() in ("x86_64", "amd64") else ["-O3"]
+
+
+def _load_kernel(path: str) -> _Kernel:
+    """The kernel in the shared object at path; OSError or AttributeError
+    when it does not load or lacks an entry point."""
+    import ctypes
+
+    lib = ctypes.CDLL(path)
+    i64, u64, ptr = ctypes.c_int64, ctypes.c_uint64, ctypes.c_void_p
+
+    class Tables(ctypes.Structure):
+        # struct onegenus_stream
+        _fields_ = [("m", u64), ("lo_r", u64), ("hi_r", u64), ("valid_masks", ptr),
+                    ("outer_base", ptr), ("n_outer", i64),
+                    ("n_digits", i64), ("digit_counts", ptr), ("digit_lifts", ptr),
+                    ("step", ptr), ("step_res", ptr), ("step_res_wrap", ptr),
+                    ("n_first", i64), ("first_q", ptr), ("outer_res", ptr),
+                    ("wrap_fix", ptr), ("tables3", ptr),
+                    ("n_primes", i64), ("primes", ptr), ("mu", ptr), ("tables", ptr)]
+
+    span = lib.onegenus_sieve_span
+    span.restype = i64
+    span.argtypes = [ptr, i64, i64, i64, i64, i64, ptr, i64, ptr, ptr]
+    simd = lib.onegenus_stream_simd
+    simd.restype = ctypes.c_int
+    simd.argtypes = []
+    return _Kernel(span, Tables, "avx512" if simd() else "none")
+
+
 @functools.cache
-def _stream_kernel():
+def _stream_kernel() -> _Kernel | None:
     """The compiled stream kernel, _stream.c, or None where it cannot be built
     or loaded; loaded at most once per process, on first use.
 
@@ -399,17 +447,15 @@ def _stream_kernel():
     source, then that of the flags and `cc --version`, and moved into place
     with os.replace, so concurrent first runs are safe.  A cached
     file that does not load is not rebuilt; the next directory is tried.
+    The one file serves every CPU: the kernel picks its SIMD path at run time.
     """
     # only a process that sieves pays for these imports and the compiler
-    import ctypes
-    import platform
     import subprocess
     import tempfile
     from importlib import resources
 
     source = resources.files("onegenus").joinpath("_stream.c").read_bytes()
-    # popcount must compile to one instruction, not gcc's software fallback
-    flags = ["-O3", "-mpopcnt"] if platform.machine().lower() in ("x86_64", "amd64") else ["-O3"]
+    flags = _kernel_flags()
     try:
         version = subprocess.run(["cc", "--version"], capture_output=True, check=True).stdout
     except (OSError, subprocess.SubprocessError):
@@ -429,14 +475,9 @@ def _stream_kernel():
                 subprocess.run(["cc", *flags, "-shared", "-fPIC", "-x", "c", "-", "-o", tmp],
                                input=source, capture_output=True, check=True)
                 os.replace(tmp, path)
-            kernel = ctypes.CDLL(path).onegenus_sieve_span
+            return _load_kernel(path)
         except (OSError, subprocess.SubprocessError, AttributeError):
             continue
-        i64, u64, ptr = ctypes.c_int64, ctypes.c_uint64, ctypes.c_void_p
-        kernel.restype = i64
-        kernel.argtypes = [u64, u64, u64, ptr, ptr, i64, i64, ptr, ptr, i64, ptr, ptr, ptr, ptr,
-                           i64, ptr, ptr, i64, i64, i64, i64, i64, ptr, i64, ptr, ptr]
-        return kernel
     return None
 
 
@@ -494,21 +535,46 @@ class _Runner:
         # the compiled kernel writes survivors as uint64, so it runs while they fit
         self._kernel = _stream_kernel() if config.limit < 1 << 64 else None
         self.kernel = "numpy" if self._kernel is None else "c"
+        # the SIMD path of the compiled kernel's first window; None for numpy
+        self.simd = None if self._kernel is None else self._kernel.simd
         if self._kernel is not None:
-            self._capacity = _SURVIVOR_CAPACITY
+            import ctypes
+
             counts = np.array(self.inner_counts, dtype=np.int64)
             primes = np.array(self.primes, dtype=np.int64)
+            mu = np.array([((1 << 64) - 1) // q for q in self.primes], dtype=np.uint64)
+            # the odometer's step from each digit value to the next, cyclically,
+            # mod m and mod each first-window q, without and with the wrap past
+            # m, the residues in zero-padded rows of _CADENCE, the kernel's FIRST_MAX
+            step = np.concatenate([np.roll(c, -1) - c for c in self.inner_contribs])
+            step[step < 0] += m
+            q = self.first_q.ravel()
+            step_res, step_res_wrap = np.zeros((2, step.size, _CADENCE), dtype=np.uint16)
+            step_res[:, :q.size] = step[:, None] % q
+            step_res_wrap[:, :q.size] = (step[:, None] + (q - m % q)) % q
             lifts, tables3, tables = (np.array([t.ctypes.data for t in ts], dtype=np.uintp)
                                       for ts in (self.inner_contribs, self.tables3, self.tables))
-            self._kernel_arrays = (counts, primes, lifts, tables3, tables)  # kept alive
-            self._kernel_args = (
+            arrays = (counts, primes, mu, step, step_res, step_res_wrap, lifts, tables3, tables)
+            self._tables_arrays = arrays  # kept alive
+            self._tables = self._kernel.Tables(
                 m, self.lo_r, self.hi_r, self.valid_masks.ctypes.data,
                 self.outer_base.ctypes.data, self.n_outer,
                 counts.size, counts.ctypes.data, lifts.ctypes.data,
+                step.ctypes.data, step_res.ctypes.data, step_res_wrap.ctypes.data,
                 len(self.tables3), self.first_q.ctypes.data, self.outer_res.ctypes.data,
                 self.wrap_fix.ctypes.data, tables3.ctypes.data,
-                primes.size, primes.ctypes.data, tables.ctypes.data,
+                primes.size, primes.ctypes.data, mu.ctypes.data, tables.ctypes.data,
             )
+            self._tables_ptr = ctypes.addressof(self._tables)
+            # the kernel's tally, then its counts of valid bits and words
+            self._sums = np.zeros(primes.size + 2, dtype=np.int64)
+            self._sums_ptrs = self._sums.ctypes.data, self._sums[primes.size:].ctypes.data
+            self._grow_out(_SURVIVOR_CAPACITY)
+
+    def _grow_out(self, capacity: int) -> None:
+        # untouched pages of the survivor buffer cost no memory
+        self._out = np.empty(capacity, dtype=np.uint64)
+        self._out_ptr = self._out.ctypes.data
 
     def _gen_contrib(self, lo: int, hi: int) -> np.ndarray:
         """CRT contributions of inner indices [lo, hi), mixed radix, first prime fastest."""
@@ -535,17 +601,16 @@ class _Runner:
                              f"of {self.n_inner} inner indices are out of range")
         if self._kernel is None:
             return self._process_range_numpy(lo, hi, inner)
-        tally = np.zeros(len(self.primes), dtype=np.int64)
-        counts = np.zeros(2, dtype=np.int64)
+        n_primes = len(self.primes)
         while True:
-            out = np.empty(self._capacity, dtype=np.uint64)  # untouched pages cost no memory
-            n = self._kernel(*self._kernel_args, lo, hi, start, stop, _BLOCK,
-                             out.ctypes.data, out.size, tally.ctypes.data, counts.ctypes.data)
+            n = self._kernel.sieve_span(self._tables_ptr, lo, hi, start, stop, _BLOCK,
+                                        self._out_ptr, self._out.size, *self._sums_ptrs)
             if n >= 0:
-                return out[:n].tolist(), tally, int(counts[0]), int(counts[1])
+                valid, words = self._sums[n_primes:].tolist()
+                return self._out[:n].tolist(), self._sums[:n_primes].copy(), valid, words
             if n == -2:
                 raise MemoryError("the stream kernel could not allocate its block buffers")
-            self._capacity *= 4
+            self._grow_out(4 * self._out.size)
 
     def _process_range_numpy(self, lo: int, hi: int, inner: tuple[int, int] | None = None):
         """process_range in numpy passes.
@@ -739,6 +804,9 @@ def run_sieve(
     todo = pending[:max_chunks]
     # the progress rate counts this run's words, not the resumed ones
     first_chunk, first_words = len(chunks) - len(pending) + 1, state["words_processed"]
+    if progress and todo:
+        simd = f", SIMD {runner.simd}" if runner.simd else ""
+        print(f"[sieve] stream kernel {runner.kernel}{simd}", file=sys.stderr)
     started = time.perf_counter()
     with _chunk_results(runner, todo, workers) as results:
         for n, (span, (surv, tally, sv, wd)) in enumerate(zip(todo, results), first_chunk):
@@ -777,6 +845,7 @@ def run_sieve(
         words_processed=state["words_processed"],
         stream_valid=state["stream_valid"],
         kernel=runner.kernel if runner else None,
+        simd=runner.simd if runner else None,
     )
 
     if completed:

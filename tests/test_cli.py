@@ -223,30 +223,31 @@ class TestSieveCli:
          "--small-cutoff", "2e5"],
     ], ids=["pipeline", "sieve-scaled"])
     @pytest.mark.parametrize("threads", ["1", "4"])
-    def test_kernels_write_the_same_files(self, monkeypatch, tmp_path, args, threads):
-        # the compiled and the numpy stream kernel, each through a stop and a
-        # resume: byte-identical CSV and checkpoint, and manifests that differ
-        # only by the kernel's name (and the times and paths of the run)
+    def test_kernels_write_the_same_files(self, monkeypatch, tmp_path, stream_kernels, args,
+                                          threads):
+        # the compiled kernel through each of its first-window paths, and the
+        # numpy one, each through a stop and a resume: byte-identical CSV and
+        # checkpoint, and manifests that differ only by the kernel's name and
+        # SIMD path (and the times and paths of the run)
         from onegenus import cli as climod
         from onegenus import sieve
 
-        compiled = "c" if sieve._stream_kernel() else "numpy"
         runs = []
-        for kernel in (compiled, "numpy"):
-            if kernel == "numpy":
-                monkeypatch.setattr(sieve, "_stream_kernel", lambda: None)
-            out, ck = str(tmp_path / f"{kernel}.csv"), str(tmp_path / f"{kernel}.json")
+        for i, kernel in enumerate([*stream_kernels, None]):
+            monkeypatch.setattr(sieve, "_stream_kernel", lambda: kernel)
+            out, ck = str(tmp_path / f"{i}.csv"), str(tmp_path / f"{i}.json")
             run = ["sieve", *args, "--threads", threads, "--checkpoint", ck, "--out", out]
             assert climod.main([*run, "--stop-after-chunks", "3"]) == 0
             assert climod.main([*run, "--resume"]) == 0
             with open(out + ".manifest.json") as fh:
                 manifest = json.load(fh)
-            assert manifest.pop("stream_kernel") == kernel
+            assert manifest.pop("stream_kernel") == ("numpy" if kernel is None else "c")
+            assert manifest.pop("stream_simd") == (None if kernel is None else kernel.simd)
             for key in ("started", "finished", "outputs"):
                 del manifest[key]
             with open(out, "rb") as csv, open(ck, "rb") as checkpoint:
                 runs.append((csv.read(), checkpoint.read(), manifest))
-        assert runs[0] == runs[1]
+        assert all(run == runs[0] for run in runs[1:])
 
     def test_sieve_never_builds_the_survivor_list(self, monkeypatch, tmp_path):
         # the CSV, the summary line and the manifest read the pass-through
@@ -396,7 +397,12 @@ class TestSieveCli:
         assert climod.main([*args, "--resume"]) == 0
         line = re.compile(r"\[sieve\] chunk (\d)/6 \(outer \1/6\), stream survivors so far: \d+, "
                           r"(\S+) words/s \((?:c|numpy) kernel\), ETA (\d+):(\d\d):(\d\d)")
-        found = [f for f in map(line.fullmatch, capsys.readouterr().err.splitlines()) if f]
+        err = capsys.readouterr().err.splitlines()
+        found = [f for f in map(line.fullmatch, err) if f]
+        # each run first names its kernel and SIMD path, as the manifest does
+        kernel = sieve._stream_kernel()
+        head = f"[sieve] stream kernel c, SIMD {kernel.simd}" if kernel else "[sieve] stream kernel numpy"
+        assert [n for n in err if n.startswith("[sieve] stream kernel")] == [head, head]
         assert [int(f[1]) for f in found] == [1, 2, 3, 4, 5, 6]
         # after --resume the rate counts only the words of the resumed run
         assert {f[2] for f in found} == {"24"}

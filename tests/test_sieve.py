@@ -3,6 +3,7 @@ import io
 import json
 import math
 import os
+import platform
 import random
 import shutil
 import subprocess
@@ -235,6 +236,16 @@ class TestRunSieve:
         out = run_sieve(SieveConfig(**{**SMALL, "limit": 2000}))
         assert out.eliminated_count == 0
         assert out.tested_count == len(out.survivors) == sieve.count_valid(2000)
+
+    @pytest.mark.parametrize("limit, cutoff", [
+        (0, 1), (2, 3), (3, 4), (4, 5), (6, 7), (7, 8), (8, 9), (10, 10**7), (2201, 2203),
+        (2202, 2203), (30000, 2200), (30000, 2201), (30000, 2202), (30000, 2203)])
+    def test_direct_values_are_the_valid_values_below_the_cutoff(self, limit, cutoff):
+        config = SieveConfig(**{**SMALL, "limit": limit, "small_cutoff": cutoff})
+        got = sieve._direct_values(config)
+        end = min(cutoff, limit + 1)
+        assert got.dtype == np.int64
+        assert got.tolist() == [n for n in range(3, end) if n % 4 in (0, 3)]
 
     def test_default_config_keeps_every_ocpg_value(self):
         # with the default cutoff 1e7, a limit=1e6 run trusts nothing to the
@@ -586,17 +597,21 @@ class TestTopOfRange:
             assert expect_out
 
     @pytest.mark.parametrize("sieve_primes", [None, (53,)], ids=["default", "one-prime"])
-    def test_compiled_kernel_matches_python_ints(self, sieve_primes):
+    def test_compiled_kernel_matches_python_ints(self, monkeypatch, compiled_kernels,
+                                                 sieve_primes):
+        # through the SIMD path this CPU picks and through the plain-C one
         params = {} if sieve_primes is None else {"sieve_primes": sieve_primes}
         config = SieveConfig(limit=98 * 10**17, **params)
-        runner = _compiled_runner(config)
-        n = runner.n_outer
-        out, tally, valid, words = runner.process_range(n - 1, n, (0, 2048))
-        a = runner.outer_base[n - 1] + runner._gen_contrib(0, 2048)
-        assert (valid, out, tally.tolist()) == _python_int_oracle(config, runner, a)
-        assert words == 2048
-        if sieve_primes is not None:
-            assert max(out) > 2**63  # uint64 survivors, above the int64 range
+        for kernel in compiled_kernels:
+            monkeypatch.setattr(sieve, "_stream_kernel", lambda: kernel)
+            runner = sieve._Runner(config)
+            n = runner.n_outer
+            out, tally, valid, words = runner.process_range(n - 1, n, (0, 2048))
+            a = runner.outer_base[n - 1] + runner._gen_contrib(0, 2048)
+            assert (valid, out, tally.tolist()) == _python_int_oracle(config, runner, a)
+            assert words == 2048
+            if sieve_primes is not None:
+                assert max(out) > 2**63  # uint64 survivors, above the int64 range
 
     def test_pstage_count_at_the_paper_limit(self):
         # the P1/P2 stage of a whole run to 9.8*10^18, counted without the stream
@@ -679,6 +694,24 @@ class TestStreamKernel:
         assert run_sieve(SieveConfig(**PIPELINE)).kernel == "c"
         assert run_sieve(SieveConfig(**{**SMALL, "limit": 2000})).kernel is None  # no stream
 
+    def test_simd_path_follows_the_cpu(self, compiled_kernels):
+        # AVX-512 runs exactly where the CPU has the four extensions it uses;
+        # the run, the outcome and the runner name the path from one source
+        kernel, plain = compiled_kernels
+        try:
+            with open("/proc/cpuinfo") as fh:
+                flags = next(line for line in fh if line.startswith("flags")).split()
+        except (OSError, StopIteration):
+            pytest.skip("no CPU flags to read")
+        wanted = {"avx512f", "avx512bw", "avx512vl", "avx512_vpopcntdq"}
+        if platform.machine() == "x86_64" and wanted <= set(flags):
+            assert kernel.simd == "avx512"
+        else:
+            assert kernel.simd == "none"
+        assert plain.simd == "none"
+        assert run_sieve(SieveConfig(**PIPELINE)).simd == kernel.simd
+        assert run_sieve(SieveConfig(**{**SMALL, "limit": 2000})).simd is None  # no stream
+
     def test_source_is_package_data_and_names_the_cache(self, monkeypatch, tmp_path):
         source = resources.files("onegenus").joinpath("_stream.c")
         assert source.read_bytes() == Path(sieve.__file__).with_name("_stream.c").read_bytes()
@@ -731,26 +764,27 @@ class TestStreamKernel:
         runner = _compiled_runner(SieveConfig(**PIPELINE))
         got = runner.process_range(0, runner.n_outer)
         expect = runner._process_range_numpy(0, runner.n_outer)
-        assert len(got[0]) > 16 and runner._capacity >= len(got[0])
+        assert len(got[0]) > 16 and runner._out.size >= len(got[0])
         assert got[0] == expect[0]
         assert got[1].tolist() == expect[1].tolist()
         assert got[2:] == expect[2:]
 
     @pytest.mark.parametrize("params, chunks", [(PIPELINE, 5), (CRITERION8, 20)],
                              ids=["pipeline", "criterion8"])
-    def test_kernels_agree_through_stop_and_resume(self, monkeypatch, tmp_path, params, chunks):
+    def test_kernels_agree_through_stop_and_resume(self, monkeypatch, tmp_path, stream_kernels,
+                                                   params, chunks):
+        # the compiled kernel through each of its first-window paths, and numpy
         config = SieveConfig(**params)
-        compiled = "c" if sieve._stream_kernel() else "numpy"
         runs = []
-        for kernel in (compiled, "numpy"):
-            if kernel == "numpy":
-                monkeypatch.setattr(sieve, "_stream_kernel", lambda: None)
+        for i, kernel in enumerate([*stream_kernels, None]):
+            monkeypatch.setattr(sieve, "_stream_kernel", lambda: kernel)
             for workers in (1, 4):
-                ck = tmp_path / f"{kernel}-{workers}.json"
+                ck = tmp_path / f"{i}-{workers}.json"
                 run_sieve(config, workers=workers, checkpoint_path=str(ck), max_chunks=chunks)
                 stopped = ck.read_bytes()
                 out = run_sieve(config, workers=workers, checkpoint_path=str(ck), resume=True)
-                assert out.completed and out.kernel == kernel
+                assert out.completed and out.kernel == ("numpy" if kernel is None else "c")
+                assert out.simd == (None if kernel is None else kernel.simd)
                 runs.append((stopped, out))
         for stopped, out in runs[1:]:
             assert stopped == runs[0][0]  # the survivors of each chunk, in order
