@@ -16,39 +16,40 @@
    divisions happen only once per block.
 
    Per outer residue the block is walked in sub-blocks of SUB words, whose
-   per-word arrays stay in L1 cache, in three passes:
+   per-word arrays stay in L1 cache:
    1. each word's a, its wrap flag (whether outer + inner passed m), and its
       hit word w = ~(valid mask), crediting popcount(valid mask) to the count
       of valid bits;
-   2. one loop over the sub-block per first-window prime q, which takes a mod
-      q from the split residues (outer mod q) + (inner mod q), plus
-      q - (m mod q) for a wrapped word, indexing q's table repeated three
-      times: t = table3[...], the prime's tally gains popcount(t & ~w), and
-      w |= t, with no branch;
+   2. per first-window prime q, a mod q from the split residues (outer mod
+      q) + (inner mod q), plus q - (m mod q) for a wrapped word, indexing q's
+      table repeated three times: t = table3[...], the prime's tally gains
+      popcount(t & ~w), and w |= t, with no branch;
    3. the indices of the words that still have a live bit are compacted,
       and only those words, in order, run the later primes, taking a mod q by
       a Barrett reduction, and emit their survivors.
-   Passes 1 and 2 and the compaction come in two versions that give the
-   same w, tallies and live list: plain C, and AVX-512 (F, BW, VL and
-   VPOPCNTDQ: 16-lane gathers, vpopcntd and compress), compiled with a
-   target attribute so that the build needs no -march flag and one built
-   file serves every CPU.  onegenus_stream_simd picks one by
-   __builtin_cpu_supports, once per process, and says which; compilers
-   without those attributes, other targets, and a build with
-   ONEGENUS_NO_SIMD defined (which the tests make, to run the plain passes
-   on any CPU) get the plain passes only.
+   Steps 1 and 2 and the compaction come in two versions that give the same
+   w, tallies and live list.  The plain C one fuses them word by word.  The
+   AVX-512 one (F, BW, VL and VPOPCNTDQ) runs them as passes over the
+   sub-block, 16 words at a time: gathers, vpopcntd and compress.  It is
+   compiled with a target attribute, so that the build needs no -march flag
+   and one built file serves every CPU, and is ~2.5 times as fast.
+   onegenus_stream_simd picks a version by __builtin_cpu_supports, once per
+   process, and says which; compilers without those attributes, other
+   targets, and a build with ONEGENUS_NO_SIMD defined (which the tests make,
+   to run the plain version on any CPU) get the plain version only.
 
    Every a is below m < 2^62, and each survivor a + k*m is at most the limit,
    which the caller keeps below 2^64.  Returns the number of survivors written
    to out, -1 when they would not fit in capacity (then tally_out and
-   counts_out are untouched) or -2 when scratch memory cannot be allocated.
+   counts_out are untouched), -2 when scratch memory cannot be allocated or
+   -3 when the struct holds more than FIRST_MAX first-window primes.
    counts_out receives the number of valid bits and the number of words.  */
 #include <stdint.h>
 #include <stdlib.h>
 
 #define ALL_HIT 0xFFFFFFFFu
 #define SUB 1024 /* words per sub-block, a multiple of 16 */
-#define FIRST_MAX 8 /* at most this many first-window primes */
+#define FIRST_MAX 8 /* at most this many first-window primes: sieve._FIRST_MAX */
 
 #if !defined(ONEGENUS_NO_SIMD) && defined(__x86_64__) \
     && (defined(__clang__) ? __clang_major__ >= 8 : defined(__GNUC__) && __GNUC__ >= 8)
@@ -82,59 +83,61 @@ struct onegenus_stream {
     const uint32_t *const *tables;
 };
 
-/* Passes 1 and 2 and the compaction over the len <= SUB words ob + contrib[k]
+/* Steps 1 and 2 and the compaction over the len <= SUB words ob + contrib[k]
    mod m, whose residues mod the i-th first-window prime are inner_res[i *
-   stride + k]; ft[i] is that prime's table3 shifted by ob's residue.  Writes
-   the hit words to w, the indices of the live ones to live, adds to tally
-   and valid, and returns the number of live words.  */
+   stride + k]; ft[i] is that prime's table3 shifted by ob's residue, and
+   ft[n_first + i] that shifted further by wrap_fix[i], for a wrapped word.
+   Writes the hit words to w, the indices of the live ones to live, adds to
+   tally and valid, and returns the number of live words.  */
 typedef int64_t first_window_fn(const struct onegenus_stream *st, uint64_t ob,
                                 const uint64_t *contrib, const uint16_t *inner_res,
                                 int64_t stride, const uint32_t *const *ft, int64_t len,
                                 uint32_t *w, int32_t *live, int64_t *tally, int64_t *valid);
 
+/* Without SIMD, the steps are fused: word by word, its hit word stays in a
+   register through the first window, which a separate pass per prime would
+   load and store each time.  */
 static int64_t first_window_plain(const struct onegenus_stream *st, uint64_t ob,
                                   const uint64_t *contrib, const uint16_t *inner_res,
                                   int64_t stride, const uint32_t *const *ft, int64_t len,
                                   uint32_t *w, int32_t *live, int64_t *tally, int64_t *valid)
 {
-    uint16_t wrap[SUB]; /* 0xFFFF for a wrapped word, else 0 */
-    uint64_t m = st->m;
-    int64_t v = 0;
+    const uint64_t m = st->m;
+    const int64_t n_first = st->n_first;
+    int64_t credit[FIRST_MAX] = {0}, v = 0, n = 0;
     for (int64_t k = 0; k < len; k++) {
         uint64_t a = ob + contrib[k];
-        uint16_t wrapped = a >= m;
-        a -= m & -(uint64_t)wrapped;
+        uint64_t wrapped = a >= m;
+        a -= m & -wrapped;
         uint32_t vm = st->valid_masks[((a < st->lo_r) << 3) | ((a > st->hi_r) << 2) | (a & 3)];
         v += __builtin_popcount(vm);
-        w[k] = ~vm;
-        wrap[k] = -wrapped;
+        uint32_t x = ~vm;
+        if (x != ALL_HIT) {
+            const uint32_t *const *t3 = ft + (n_first & -(int64_t)wrapped);
+            const uint16_t *ir = inner_res + k;
+            for (int64_t i = 0; i < n_first; i++, ir += stride) {
+                uint32_t t = t3[i][*ir];
+                credit[i] += __builtin_popcount(t & ~x);
+                x |= t;
+            }
+        }
+        w[k] = x;
+        live[n] = (int32_t)k;
+        n += x != ALL_HIT;
     }
     *valid += v;
-    for (int64_t i = 0; i < st->n_first; i++) {
-        const uint32_t *t3 = ft[i];
-        const uint16_t *ir = inner_res + i * stride;
-        uint16_t fix = st->wrap_fix[i];
-        int64_t credit = 0;
-        for (int64_t k = 0; k < len; k++) {
-            uint32_t t = t3[ir[k] + (wrap[k] & fix)];
-            credit += __builtin_popcount(t & ~w[k]);
-            w[k] |= t;
-        }
-        tally[i] += credit;
-    }
-    int64_t n = 0;
-    for (int64_t k = 0; k < len; k++) {
-        live[n] = (int32_t)k;
-        n += w[k] != ALL_HIT;
-    }
+    for (int64_t i = 0; i < n_first; i++)
+        tally[i] += credit[i];
     return n;
 }
 
 #if ONEGENUS_AVX512
 #define AVX512 __attribute__((target("avx512f,avx512bw,avx512vl,avx512vpopcntdq")))
 
-/* first_window_plain 16 words at a time; the lanes past len get w = ALL_HIT,
-   so they credit nothing and are never live.  w and live hold SUB + 16.  */
+/* Steps 1 and 2 and the compaction one after the other, 16 words at a
+   time, adding wrap_fix to the index of a wrapped word; the lanes past len
+   get w = ALL_HIT, so they credit nothing and are never live.  w and live
+   hold SUB + 16.  */
 AVX512 static int64_t first_window_avx512(const struct onegenus_stream *st, uint64_t ob,
                                           const uint64_t *contrib, const uint16_t *inner_res,
                                           int64_t stride, const uint32_t *const *ft, int64_t len,
@@ -234,6 +237,8 @@ int64_t onegenus_sieve_span(const struct onegenus_stream *st, int64_t lo, int64_
     const uint64_t m = st->m;
     const int64_t n_digits = st->n_digits, n_first = st->n_first, n_primes = st->n_primes;
     const int64_t *digit_counts = st->digit_counts, *first_q = st->first_q;
+    if (n_first > FIRST_MAX)
+        return -3;
     first_window_fn *first_window = first_window_plain;
 #if ONEGENUS_AVX512
     if (onegenus_stream_simd())
@@ -245,9 +250,9 @@ int64_t onegenus_sieve_span(const struct onegenus_stream *st, int64_t lo, int64_
 
     /* one allocation for: contrib and its residues per block word, the
        tally, the odometer's digits, and the first window's tables offset by
-       the outer residue's residues */
+       the outer residue's residues, without and with the wrap */
     size_t bytes = sizeof(uint64_t) * (size_t)(span + n_primes + n_digits)
-                 + sizeof(uint32_t *) * (size_t)n_first
+                 + sizeof(uint32_t *) * (size_t)(2 * n_first)
                  + sizeof(uint16_t) * (size_t)(FIRST_MAX * span);
     uint64_t *contrib = malloc(bytes);
     if (!contrib)
@@ -255,7 +260,7 @@ int64_t onegenus_sieve_span(const struct onegenus_stream *st, int64_t lo, int64_
     int64_t *tally = (int64_t *)(contrib + span);
     int64_t *digit = tally + n_primes;
     const uint32_t **first_tables = (const uint32_t **)(digit + n_digits);
-    uint16_t *inner_res = (uint16_t *)(first_tables + n_first);
+    uint16_t *inner_res = (uint16_t *)(first_tables + 2 * n_first);
     uint16_t res[FIRST_MAX] = {0}, q[FIRST_MAX] = {0};
     const uint64_t *step = st->step, *mu = st->mu;
     const uint16_t *step_res = st->step_res, *step_res_wrap = st->step_res_wrap;
@@ -309,8 +314,10 @@ int64_t onegenus_sieve_span(const struct onegenus_stream *st, int64_t lo, int64_
 
         for (int64_t o = lo; o < hi; o++) {
             uint64_t ob = (uint64_t)st->outer_base[o];
-            for (int64_t i = 0; i < n_first; i++)
+            for (int64_t i = 0; i < n_first; i++) {
                 first_tables[i] = st->tables3[i] + st->outer_res[i * st->n_outer + o];
+                first_tables[n_first + i] = first_tables[i] + st->wrap_fix[i];
+            }
             for (int64_t k0 = 0; k0 < len; k0 += SUB) {
                 int64_t sub = len - k0 < SUB ? len - k0 : SUB;
                 int64_t n_live = first_window(st, ob, contrib + k0, inner_res + k0, span,

@@ -27,14 +27,13 @@ subprocess, into $XDG_CACHE_HOME/onegenus (default ~/.cache/onegenus, else a
 directory under tempfile.gettempdir()), under a name hashed from its source,
 flags and compiler version.  It steps the inner contributions and their
 first-window residues with a mixed-radix odometer.  Per outer residue it
-walks sub-blocks of 1024 inner words in passes: the valid masks, then one
-branchless loop per first-window prime, then the later primes on the
-compacted live words only.  The first two passes and the compaction run on
-AVX-512 (16-lane gathers and popcounts) where the CPU has it, else in plain
-C, chosen once per process at run time, so one cached file serves every CPU;
-_Runner.simd, SieveOutcome.simd and the manifest's stream_simd name the
-path.  Otherwise the numpy kernel runs, which is also the compiled one's
-test oracle.  A numpy
+walks sub-blocks of 1024 inner words: the valid masks and the branchless
+first window, then the later primes on the compacted live words only.  The
+first window runs on AVX-512 (one pass per prime, 16-lane gathers and
+popcounts) where the CPU has it, else in plain C (word by word), chosen once
+per process at run time, so one cached file serves every CPU; _Runner.simd,
+SieveOutcome.simd and the manifest's stream_simd name the path.  Otherwise
+the numpy kernel runs, which is also the compiled one's test oracle.  A numpy
 pass sieves about _BLOCK words, few enough for its arrays to stay in L2
 cache: the block shifted by as many outer residues of the chunk as that
 holds, one at paper scale, where the inner set holds ~6*10^8 residues, and
@@ -86,6 +85,7 @@ _N_CHUNKS = 64            # at most this many outer-loop chunks (checkpoints)
 _CHUNK_WORDS = 1 << 32    # and at most this many words each, unless one outer residue holds more
 _BLOCK = 1 << 16          # words per vectorized pass: its int64 arrays stay in L2
 _CADENCE = 8              # sieve primes between compactions of the alive words
+_FIRST_MAX = 8            # at most this many first-window primes: FIRST_MAX in _stream.c
 _ALL_HIT = np.uint32(0xFFFFFFFF)
 _MAX_MODULUS = 1 << 62    # P1*P2 bound: every int64 sum stays below 2*P1*P2
 _SURVIVOR_CAPACITY = 1 << 16  # first survivor buffer of the compiled kernel; grows 4x when full
@@ -507,7 +507,7 @@ class _Runner:
         # wrap = (outer + inner >= m): (outer mod q) + (inner mod q) is below
         # 2q, and adding q - (m mod q) for a wrapped word keeps it below 3q.
         # That sum, a uint16, indexes the table repeated three times.
-        first = [q for q in self.primes[:_CADENCE] if 3 * q <= 0xFFFF]
+        first = [q for q in self.primes[:_FIRST_MAX] if 3 * q <= 0xFFFF]
         self.first_q = np.array(first, dtype=np.int64)[:, None]
         self.outer_res = (self.outer_base % self.first_q).astype(np.uint16)
         self.wrap_fix = (self.first_q - m % self.first_q).astype(np.uint16)
@@ -545,11 +545,11 @@ class _Runner:
             mu = np.array([((1 << 64) - 1) // q for q in self.primes], dtype=np.uint64)
             # the odometer's step from each digit value to the next, cyclically,
             # mod m and mod each first-window q, without and with the wrap past
-            # m, the residues in zero-padded rows of _CADENCE, the kernel's FIRST_MAX
+            # m, the residues in zero-padded rows of _FIRST_MAX
             step = np.concatenate([np.roll(c, -1) - c for c in self.inner_contribs])
             step[step < 0] += m
             q = self.first_q.ravel()
-            step_res, step_res_wrap = np.zeros((2, step.size, _CADENCE), dtype=np.uint16)
+            step_res, step_res_wrap = np.zeros((2, step.size, _FIRST_MAX), dtype=np.uint16)
             step_res[:, :q.size] = step[:, None] % q
             step_res_wrap[:, :q.size] = (step[:, None] + (q - m % q)) % q
             lifts, tables3, tables = (np.array([t.ctypes.data for t in ts], dtype=np.uintp)
@@ -610,6 +610,8 @@ class _Runner:
                 return self._out[:n].tolist(), self._sums[:n_primes].copy(), valid, words
             if n == -2:
                 raise MemoryError("the stream kernel could not allocate its block buffers")
+            if n == -3:
+                raise InternalCheckError("the stream kernel takes at most FIRST_MAX first-window primes")
             self._grow_out(4 * self._out.size)
 
     def _process_range_numpy(self, lo: int, hi: int, inner: tuple[int, int] | None = None):

@@ -5,6 +5,7 @@ import math
 import os
 import platform
 import random
+import re
 import shutil
 import subprocess
 import sys
@@ -19,7 +20,7 @@ from hypothesis import strategies as st
 
 from onegenus import sieve
 from onegenus.arith import primes_up_to
-from onegenus.errors import CheckpointMismatch
+from onegenus.errors import CheckpointMismatch, InternalCheckError
 from onegenus.sieve import SieveConfig, eliminated_residues, run_sieve, survivors_mod, witness_form
 
 # small full-coverage config used throughout: every prime's 4p^2 sits below
@@ -768,6 +769,22 @@ class TestStreamKernel:
         assert got[0] == expect[0]
         assert got[1].tolist() == expect[1].tolist()
         assert got[2:] == expect[2:]
+
+    def test_first_window_width_is_the_kernels(self, compiled_kernels):
+        # Python sizes the first window and the rows of step residues by
+        # _FIRST_MAX, the kernel its arrays by FIRST_MAX; a struct with more
+        # first-window primes than that is refused before anything is read
+        source = resources.files("onegenus").joinpath("_stream.c").read_text()
+        assert re.search(r"#define FIRST_MAX (\d+)", source).group(1) == str(sieve._FIRST_MAX)
+        runner = _compiled_runner(SieveConfig(**PIPELINE))
+        assert len(runner.first_q) == sieve._FIRST_MAX
+        runner._tables.n_first = sieve._FIRST_MAX + 1
+        for kernel in compiled_kernels:
+            n = kernel.sieve_span(runner._tables_ptr, 0, 1, 0, 1, sieve._BLOCK,
+                                  runner._out_ptr, runner._out.size, *runner._sums_ptrs)
+            assert n == -3
+        with pytest.raises(InternalCheckError):
+            runner.process_range(0, 1, (0, 1))
 
     @pytest.mark.parametrize("params, chunks", [(PIPELINE, 5), (CRITERION8, 20)],
                              ids=["pipeline", "criterion8"])
