@@ -332,16 +332,14 @@ def verify_identity(
     d: int,
     aux: AuxiliaryK | None = None,
     dps: int = DEFAULT_DPS,
-    rtol: float = SERIES_RTOL,
 ) -> IdentityReport:
     """Check |LHS - principal| <= remainder bound with a dual-route LHS.
 
     Each L-value comes from its class number formula and from a finite
     character sum; InternalCheckError is raised when the two routes disagree
-    beyond rtol, which signals a bug, not a bad input.  A0 vanishes for the
+    beyond SERIES_RTOL, a bug, not a bad input.  A0 vanishes for the
     two-prime k of AuxiliaryK, so the report's a0_sum is always 0.  A dps
-    below MIN_DPS is a ValueError: the routes' own rounding would approach
-    rtol.
+    below MIN_DPS is a ValueError: the routes' rounding would approach SERIES_RTOL.
     """
     if dps < MIN_DPS:
         raise ValueError(f"precision must be at least {MIN_DPS} digits, got {dps}")
@@ -363,10 +361,10 @@ def verify_identity(
     l2_s = l2_series(k, d, dps=dps)
     l1_gap = abs(float((l1_f - l1_s) / l1_f))
     l2_gap = abs(float((l2_f - l2_s) / l2_f))
-    if l1_gap > rtol or l2_gap > rtol:
+    if l1_gap > SERIES_RTOL or l2_gap > SERIES_RTOL:
         raise InternalCheckError(
             f"L-value routes disagree for d={d}, k={k}: "
-            f"gaps {l1_gap:.3e}, {l2_gap:.3e} exceed {rtol}"
+            f"gaps {l1_gap:.3e}, {l2_gap:.3e} exceed {SERIES_RTOL}"
         )
     reduced = forms.enumerate_reduced(d)
     s = form_character_sum(k, reduced)

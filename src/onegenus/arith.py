@@ -72,16 +72,15 @@ def factorize(n: int) -> dict[int, int]:
     return {int(p): int(e) for p, e in factorint(abs(int(n))).items()}
 
 
-def omega(n: int, factors: dict[int, int] | None = None) -> int:
+def omega(n: int) -> int:
     """Number of distinct prime factors of |n|."""
-    return len(factors if factors is not None else factorize(n))
+    return len(factorize(n))
 
 
-def is_squarefree(n: int, factors: dict[int, int] | None = None) -> bool:
-    n = abs(n)
+def is_squarefree(n: int) -> bool:
     if n == 0:
         return False
-    return all(e == 1 for e in (factors if factors is not None else factorize(n)).values())
+    return all(e == 1 for e in factorize(n).values())
 
 
 def kronecker(a: int, n: int) -> int:

@@ -1,6 +1,6 @@
 """Evaluators for the explicit inequality chain ruling out large prime factors.
 
-Every displayed bound is evaluated at >= 50 significant digits: the
+Every displayed bound is evaluated at DEFAULT_DPS = 60 significant digits: the
 arithmetic-function bounds (Robin's omega and sigma estimates, the
 Rosser-Schoenfeld p_n bound), the five auxiliary-modulus bounds, the height
 bound B for the linear-form coefficient, the Waldschmidt-Mignotte lower
@@ -10,18 +10,19 @@ contradiction inequality at C = 5*10^15.
 Where the source material carries two different constants for the same
 quantity (2.16 vs 2.61 for the height of Q; 1.24 vs 1.69 in the remainder
 exponent; 50.4 / 51.6 / 52.6 in the upper-bound constant; log|d| vs
-(log|d|)^2 in the h(kd) bound), both are evaluated and the mismatch is named
-in the report's `discrepancies` array; verdicts use the proof-body values.
+(log|d|)^2 in the h(kd) bound), the mismatch is named in the report's
+`discrepancies` array and verdicts use the proof-body values; the statement's
+height constant and the 50.4 and 52.6 variants of the final inequality are
+evaluated beside them.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 from mpmath import mp, mpf
 
 from . import forms
-from .arith import factorize, is_prime, omega
+from .arith import is_prime, omega
 
 DEFAULT_DPS = 60
 
@@ -37,40 +38,35 @@ KNOWN_DISCREPANCIES = (
 )
 
 
-def _log(n, dps):
-    with mp.workdps(dps):
-        return +mp.log(n)
-
-
-def robin_omega_bound(n: int, dps: int = DEFAULT_DPS) -> mpf:
+def robin_omega_bound(n: int) -> mpf:
     """log n/log log n + 1.45743 log n/(log log n)^2; valid for n >= 26."""
     if n < 26:
         raise ValueError(f"omega bound requires n >= 26, got {n}")
-    with mp.workdps(dps):
+    with mp.workdps(DEFAULT_DPS):
         ln = mp.log(n)
         ll = mp.log(ln)
         return ln / ll + mpf("1.45743") * ln / ll**2
 
 
-def robin_sigma_bound(n: int, dps: int = DEFAULT_DPS) -> mpf:
+def robin_sigma_bound(n: int) -> mpf:
     """n (e^gamma log log n + 0.649/log log n); valid for n >= 3."""
     if n < 3:
         raise ValueError(f"sigma bound requires n >= 3, got {n}")
-    with mp.workdps(dps):
+    with mp.workdps(DEFAULT_DPS):
         ll = mp.log(mp.log(n))
         return n * (mp.exp(mp.euler) * ll + mpf("0.649") / ll)
 
 
-def rosser_pn_bound(n: int, dps: int = DEFAULT_DPS) -> mpf:
+def rosser_pn_bound(n: int) -> mpf:
     """n (log n + log log n) >= p_n; valid for index n >= 6."""
     if n < 6:
         raise ValueError(f"p_n bound requires index n >= 6, got {n}")
-    with mp.workdps(dps):
+    with mp.workdps(DEFAULT_DPS):
         ln = mp.log(n)
         return n * (ln + mp.log(ln))
 
 
-def auxiliary_bounds(d: int, dps: int = DEFAULT_DPS) -> dict:
+def auxiliary_bounds(d: int) -> dict:
     """The five auxiliary-modulus bounds as functions of |d| (needs |d| >= 16).
 
     Keys: k_bound 1.62 L^2, hk_bound 0.64 L, regulator_bound 1.69 L log L,
@@ -80,7 +76,7 @@ def auxiliary_bounds(d: int, dps: int = DEFAULT_DPS) -> dict:
     n = -d if d < 0 else d
     if n < 16:
         raise ValueError(f"|d| >= 16 required, got {n}")
-    with mp.workdps(dps):
+    with mp.workdps(DEFAULT_DPS):
         ln = mp.log(n)
         ll = mp.log(ln)
         return {
@@ -88,7 +84,6 @@ def auxiliary_bounds(d: int, dps: int = DEFAULT_DPS) -> dict:
             "hk_bound": mpf("0.64") * ln,
             "regulator_bound": mpf("1.69") * ln * ll,
             "hkd_bound": mpf("1.01") * mp.sqrt(n) * ln**2,
-            "hkd_bound_statement": mpf("1.01") * mp.sqrt(n) * ln,
             "heightQ_bound": mpf("2.61") * ln**4,
             "heightQ_bound_statement": mpf("2.16") * ln**4,
             "q_prime_bound": mpf("1.27") * ln,
@@ -96,12 +91,12 @@ def auxiliary_bounds(d: int, dps: int = DEFAULT_DPS) -> dict:
         }
 
 
-def beta_height_bound(d: int, dps: int = DEFAULT_DPS) -> mpf:
+def beta_height_bound(d: int) -> mpf:
     """B = 8.12 |d|^(3/2) (log|d|)^6 log log|d|, the coefficient height bound."""
     n = -d if d < 0 else d
     if n < 16:
         raise ValueError(f"|d| >= 16 required, got {n}")
-    with mp.workdps(dps):
+    with mp.workdps(DEFAULT_DPS):
         ln = mp.log(n)
         return mpf("8.12") * mpf(n) ** mpf(1.5) * ln**6 * mp.log(ln)
 
@@ -125,7 +120,6 @@ class WaldschmidtParams:
     log_a1: mpf
     log_a2: mpf
     log_b: mpf
-    dps: int = DEFAULT_DPS
 
     @property
     def s0(self) -> mpf:
@@ -141,20 +135,19 @@ class WaldschmidtParams:
 
     @property
     def t_value(self) -> mpf:
-        with mp.workdps(self.dps):
+        with mp.workdps(DEFAULT_DPS):
             return 4 + self.s0 / D0 + mp.log(FIELD_DEGREE**2 * (self.s1 / D1) * (self.s2 / D2))
 
     @classmethod
-    def instantiate(cls, d: int, dps: int = DEFAULT_DPS) -> "WaldschmidtParams":
+    def instantiate(cls, d: int) -> "WaldschmidtParams":
         """Parameters for the linear form beta log(eps) - log(i) at |d|:
         log A1 = the regulator bound, A2 = 1, B = the beta height bound."""
-        kb = auxiliary_bounds(d, dps)
-        with mp.workdps(dps):
+        kb = auxiliary_bounds(d)
+        with mp.workdps(DEFAULT_DPS):
             return cls(
                 log_a1=kb["regulator_bound"],
                 log_a2=mpf(0),
-                log_b=mp.log(beta_height_bound(d, dps)),
-                dps=dps,
+                log_b=mp.log(beta_height_bound(d)),
             )
 
 
@@ -162,7 +155,7 @@ def waldschmidt_lower(p: WaldschmidtParams) -> mpf:
     """Exponent E with |Lambda| > exp(-E): E = 5*10^8 D^4 (S1/D1)(S2/D2) T^2."""
     if p.s1 <= 0 or p.s2 <= 0:
         raise ValueError("S1 and S2 must be positive")
-    with mp.workdps(p.dps):
+    with mp.workdps(DEFAULT_DPS):
         return (
             mpf(5e8)
             * mpf(FIELD_DEGREE) ** 4
@@ -172,25 +165,25 @@ def waldschmidt_lower(p: WaldschmidtParams) -> mpf:
         )
 
 
-def paper_exponent(d: int, dps: int = DEFAULT_DPS) -> mpf:
+def paper_exponent(d: int) -> mpf:
     """The simplified exponent 1.2*10^16 (log|d|)^3 log log|d|."""
     n = -d if d < 0 else d
-    with mp.workdps(dps):
+    with mp.workdps(DEFAULT_DPS):
         ln = mp.log(n)
         return mpf(1.2e16) * ln**3 * mp.log(ln)
 
 
-def theorem_threshold(d: int, dps: int = DEFAULT_DPS) -> mpf:
+def theorem_threshold(d: int) -> mpf:
     """P_min = 5*10^15 |d|^(1/2) (log|d|)^5 log log|d|."""
     n = -d if d < 0 else d
     if n < 16:
         raise ValueError(f"|d| >= 16 required, got {n}")
-    with mp.workdps(dps):
+    with mp.workdps(DEFAULT_DPS):
         ln = mp.log(n)
         return mpf(5e15) * mp.sqrt(n) * ln**5 * mp.log(ln)
 
 
-def final_inequality_check(d: int, c: float = 5e15, dps: int = DEFAULT_DPS) -> dict:
+def final_inequality_check(d: int, c: float = 5e15) -> dict:
     """Evaluate C (log|d|)^3 loglog|d| against 4.8*10^15 (log|d|)^3 loglog|d|
     + 1.24 log(51.6) + 1.24 log|d|, for |d| >= the verified floor.
 
@@ -199,7 +192,7 @@ def final_inequality_check(d: int, c: float = 5e15, dps: int = DEFAULT_DPS) -> d
     n = -d if d < 0 else d
     if n < VERIFIED_FLOOR:
         raise ValueError(f"|d| must be >= {VERIFIED_FLOOR}, got {n}")
-    with mp.workdps(dps):
+    with mp.workdps(DEFAULT_DPS):
         ln = mp.log(n)
         main = ln**3 * mp.log(ln)
         lhs = mpf(c) * main
@@ -218,7 +211,7 @@ def final_inequality_check(d: int, c: float = 5e15, dps: int = DEFAULT_DPS) -> d
         }
 
 
-def hypothesis_checks(d: int, p: int, factors: dict[int, int] | None = None) -> dict:
+def hypothesis_checks(d: int, p: int) -> dict:
     """Structural hypotheses for a discriminant with largest prime factor P.
 
     Flags: P > 2 sqrt(|d|) (exact integer comparison); no reduced form
@@ -240,7 +233,7 @@ def hypothesis_checks(d: int, p: int, factors: dict[int, int] | None = None) -> 
         out["form_aba_absent"] = None
         out["minima_divide"] = None
     if n >= VERIFIED_FLOOR:
-        w = omega(n, factors if factors is not None else factorize(n))
+        w = omega(n)
         with mp.workdps(DEFAULT_DPS):
             ln = mp.log(n)
             out["omega_within"] = bool(w <= ln / mp.log(ln))
@@ -282,12 +275,7 @@ class BoundReport:
         return dict(self.__dict__)
 
 
-def bound_report(
-    d: int,
-    p: int | None = None,
-    factors: dict[int, int] | None = None,
-    dps: int = DEFAULT_DPS,
-) -> BoundReport:
+def bound_report(d: int, p: int | None = None) -> BoundReport:
     """Assemble the full audit report at d (|d| >= 16).
 
     omega/sigma bounds are evaluated at n = |d|; the p_n bound at index
@@ -295,22 +283,18 @@ def bound_report(
     The final inequality entries are None below the verified floor.
     """
     n = -d if d < 0 else d
-    if n < 16:
-        raise ValueError(f"|d| >= 16 required, got {n}")
-    kb = auxiliary_bounds(d, dps)
-    b_height = beta_height_bound(d, dps)
-    params = WaldschmidtParams.instantiate(d, dps)
+    kb = auxiliary_bounds(d)  # raises ValueError below |d| = 16
+    b_height = beta_height_bound(d)
+    params = WaldschmidtParams.instantiate(d)
     wl = waldschmidt_lower(params)
-    pe = paper_exponent(d, dps)
-    omega_rhs = robin_omega_bound(n, dps) if n >= 26 else robin_omega_bound(26, dps)
+    pe = paper_exponent(d)
+    omega_rhs = robin_omega_bound(max(n, 26))
     pn_idx = max(6, int(mp.ceil(omega_rhs)) + 4)
-    final = None
-    if n >= VERIFIED_FLOOR:
-        final = final_inequality_check(d, dps=dps)
-    hyp = hypothesis_checks(d if d < 0 else -d, p, factors) if p is not None else None
-    with mp.workdps(dps):
+    final = final_inequality_check(d) if n >= VERIFIED_FLOOR else None
+    hyp = hypothesis_checks(-n, p) if p is not None else None
+    with mp.workdps(DEFAULT_DPS):
         return BoundReport(
-            d=d if d < 0 else -d,
+            d=-n,
             P=p,
             k_bound=float(kb["k_bound"]),
             hk_bound=float(kb["hk_bound"]),
@@ -320,14 +304,14 @@ def bound_report(
             heightQ_bound_statement=float(kb["heightQ_bound_statement"]),
             c_bound=float(kb["c_bound"]),
             omega_bound=float(omega_rhs),
-            sigma_bound=float(robin_sigma_bound(n, dps)),
-            pn_bound=float(rosser_pn_bound(pn_idx, dps)),
+            sigma_bound=float(robin_sigma_bound(n)),
+            pn_bound=float(rosser_pn_bound(pn_idx)),
             q_prime_bound=float(kb["q_prime_bound"]),
             B_height=float(b_height),
             log_B=float(mp.log(b_height)),
             waldschmidt_exponent=float(wl),
             paper_exponent=float(pe),
-            threshold_P=float(theorem_threshold(d, dps)),
+            threshold_P=float(theorem_threshold(d)),
             inequality_violated=None if final is None else final["violated"],
             final_lhs=None if final is None else float(final["lhs"]),
             final_rhs=None if final is None else float(final["rhs"]),

@@ -67,17 +67,10 @@ def canonical_json(data) -> str:
     return json.dumps(_canonical(data), sort_keys=True, indent=2) + "\n"
 
 
-def write_report(data, path: str | None, fmt: str = "json") -> None:
-    """Serialize a report deterministically to path or stdout (fmt "json" or "csv")."""
-    if fmt == "json":
-        text = canonical_json(data)
-    else:
-        header, rows = data
-        lines = [",".join(header)]
-        lines.extend(",".join(str(v) for v in row) for row in rows)
-        text = "\n".join(lines) + "\n"
+def write_report(data, path: str | None) -> None:
+    """Serialize a report as canonical JSON to path or stdout."""
     with _open_output(path) as fh:
-        fh.write(text.encode())
+        fh.write(canonical_json(data).encode())
 
 
 @contextlib.contextmanager
@@ -257,7 +250,8 @@ def _cmd_idoneal(args) -> int:
     if args.max_n < 1:
         raise ValueError(f"--max-n must be at least 1, got {args.max_n}")
     values = survivors.idoneal_scan(args.max_n)
-    write_report((("n",), [(n,) for n in values]), args.out, fmt="csv")
+    with _open_output(args.out) as fh:  # a one-column CSV
+        fh.write("".join(f"{n}\n" for n in ["n", *values]).encode())
     fundamental = [n for n in values if forms.is_fundamental(-4 * n)]
     print(
         f"[idoneal] {len(values)} of {args.max_n} values pass "

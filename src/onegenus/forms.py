@@ -164,15 +164,15 @@ class GenusReport:
         }
 
 
-def genus_report(d: int, factors: dict[int, int] | None = None) -> GenusReport:
-    """Enumeration-based verdict for d; factors (of |d|, if known) give the genus count."""
+def genus_report(d: int) -> GenusReport:
+    """Enumeration-based verdict for d; the genus count is None unless d is fundamental."""
     forms = enumerate_reduced(d)
     ambiguous = sum(1 for f in forms if f.is_ambiguous())
     fund = is_fundamental(d)
     return GenusReport(
         d=d,
         class_number=len(forms),
-        genus_count=(1 << (omega(d, factors) - 1)) if fund else None,
+        genus_count=(1 << (omega(d) - 1)) if fund else None,
         forms=forms,
         ambiguous_count=ambiguous,
         one_class_per_genus=ambiguous == len(forms),

@@ -127,7 +127,7 @@ class SieveConfig:
             )
         if self.limit < 0:
             raise ValueError("limit must be non-negative")
-        if self.limit >= self.small_cutoff and allp:
+        if self.limit >= self.small_cutoff:
             worst = 4 * max(allp) ** 2
             if self.small_cutoff <= worst:
                 raise ValueError(
@@ -636,20 +636,17 @@ class _Runner:
                 stream_valid += self._sieve_block(a, survivors, tally, res)
         return survivors, tally, stream_valid, (hi - lo) * (stop - start)
 
-    def _sieve_block(self, a: np.ndarray, out: list[int], tally: np.ndarray, res=None) -> int:
+    def _sieve_block(self, a: np.ndarray, out: list[int], tally: np.ndarray, res: np.ndarray) -> int:
         """Sieve the words a (each below 2m; neither a nor res is modified).
 
         res[i] is a mod the i-th sieve prime q plus 0 or q, for the primes
-        of tables3; _process_range_numpy gets it from the split of a, and it is
-        computed here when not given.  Appends the surviving candidates to
-        out, credits each elimination to the first prime that hits it in
-        tally, and returns the number of valid bits.  The hit words w start
-        with every invalid bit set, so a prime's credit is the growth of
-        popcount(w), and the survivors are ~w.
+        of tables3, as _process_range_numpy gets it from the split of a.
+        Appends the surviving candidates to out, credits each elimination to
+        the first prime that hits it in tally, and returns the number of
+        valid bits.  The hit words w start with every invalid bit set, so a
+        prime's credit is the growth of popcount(w), and the survivors are ~w.
         """
         m = self.m
-        if res is None:
-            res = (a % self.first_q).astype(np.uint16)
         # in uint64, a - m wraps round to above a exactly when a < m
         u = a.view(np.uint64)
         a = u - np.uint64(m)
@@ -719,11 +716,17 @@ def _chunk_spans(n_outer: int, n_inner: int) -> list[tuple[int, int]]:
 
 
 def _write_checkpoint(path: str, data: dict) -> None:
+    """Write data to path through path.tmp, which is removed if the write fails."""
     tmp = path + ".tmp"
-    with open(tmp, "w") as fh:
-        json.dump(data, fh, sort_keys=True, indent=1)
-        fh.write("\n")
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "w") as fh:
+            json.dump(data, fh, sort_keys=True, indent=1)
+            fh.write("\n")
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(tmp)
+        raise
 
 
 def _read_checkpoint(path: str | None, config: SieveConfig) -> dict:
@@ -870,9 +873,9 @@ def run_sieve(
 def benchmark_stream(config: SieveConfig, min_words: int = 1 << 21) -> dict:
     """Time the packed inner loop until at least min_words words are processed.
 
-    Returns words/second and candidate tests/second (32 per word) of the
-    kernel the runner loaded, and its name; used for throughput regression
-    tracking, not for correctness.
+    Returns the words processed, the seconds taken, candidate tests/second
+    (32 per word) and the name of the kernel the runner loaded; used for
+    throughput regression tracking, not for correctness.
     """
     runner = _Runner(config)
     words = 0
@@ -887,7 +890,6 @@ def benchmark_stream(config: SieveConfig, min_words: int = 1 << 21) -> dict:
     return {
         "words": words,
         "seconds": dt,
-        "words_per_second": words / dt if dt else float("inf"),
         "tests_per_second": 32 * words / dt if dt else float("inf"),
         "kernel": runner.kernel,
     }

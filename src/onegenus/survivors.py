@@ -14,8 +14,8 @@ per a on the few survivors, stopping once 3a^2 passes the largest of them.
 limit into per-|d| class / ambiguous counts.  Per a, the forms with
 0 < b < a and c > a repeat with period 4a in |d|, so beyond a short head
 they are one periodic pattern, added row by row to cache-sized windows of
-the count array.  The primitive class numbers start from it, and it is the
-tests' independent oracle for the sieve.
+the count array.  No command runs it: it is the tests' independent oracle
+for the sieve and the start of their primitive class numbers.
 """
 from __future__ import annotations
 
@@ -27,12 +27,12 @@ from . import forms
 from .arith import kronecker
 
 
-def full_check(d: int, factors: dict[int, int] | None = None) -> forms.GenusReport:
+def full_check(d: int) -> forms.GenusReport:
     """Authoritative one-class-per-genus verdict by exact enumeration.
 
     Raises ValueError for an invalid d or |d| above forms.ENUMERATION_LIMIT.
     """
-    return forms.genus_report(d, factors=factors)
+    return forms.genus_report(d)
 
 
 # Entries of h per window of the census's periodic adds: 2^18 int32 is 1 MB,
@@ -182,31 +182,6 @@ def idoneal_scan(max_n: int) -> list[int]:
     fours = np.zeros(4 * max_n + 1, bool)
     fours[4::4] = True
     return (_drop_nonambiguous(fours) // 4).tolist()
-
-
-def primitive_class_counts(limit: int) -> np.ndarray:
-    """Class numbers h(d) of primitive forms for every |d| <= limit.
-
-    Starts from the full census and strips imprimitive forms: a form with
-    content g > 1 is g times a form of discriminant d/g^2, so subtracting the
-    primitive counts at d/g^2 for every g^2 | d leaves the primitive count.
-    Processed in blocks [4^j, 4^(j+1)) so corrections only read final values.
-    """
-    h, _ = ambiguous_census(limit)
-    hp = h.astype(np.int64)
-    lo = 1
-    while lo <= limit:
-        hi = min(4 * lo, limit + 1)
-        for g in range(2, math.isqrt(hi - 1) + 1):
-            g2 = g * g
-            mlo = (lo + g2 - 1) // g2
-            mhi = (hi - 1) // g2
-            if mlo > mhi:
-                continue
-            m = np.arange(mlo, mhi + 1)
-            hp[m * g2] -= hp[m]
-        lo *= 4
-    return hp
 
 
 def qr_prefilter(d: int, primes: list[int]) -> int | None:

@@ -17,6 +17,8 @@ from mpmath import mp, mpf
 from onegenus import analytic, bounds, forms, sieve, survivors
 from onegenus.sieve import SieveConfig
 
+from oracles import primitive_class_counts
+
 SEED = 20260810
 
 
@@ -171,7 +173,7 @@ def test_criterion_6_explicit_bound_suite():
         checked_k += 1
 
     # Paulin's h(D) < sqrt(|D|)(2 + log|D|)/pi over every valid |D| <= 1e7
-    hp = survivors.primitive_class_counts(10**7)
+    hp = primitive_class_counts(10**7)
     m = np.arange(3, 10**7 + 1)
     mask = ((m & 3) == 0) | ((m & 3) == 3)
     vals = m[mask].astype(np.float64)

@@ -197,7 +197,7 @@ class TestHypothesisChecks:
         q = int(nextprime(245 * 10**16))
         d = -4 * q
         assert -d >= bounds.VERIFIED_FLOOR
-        r = hypothesis_checks(d, q, factors={2: 2, q: 1})
+        r = hypothesis_checks(d, q)
         assert r["p_gt_2sqrt"]
         assert r["omega_within"] is True and r["omega"] == 2
 

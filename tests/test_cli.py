@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import json
 import os
@@ -111,6 +112,29 @@ class TestBoundsCli:
         assert code == 0
         data = json.loads(out)
         assert abs(data["threshold_P"] / 6.61e24 - 1) < 1e-2
+
+
+class TestReportBytes:
+    # sha256 of stdout, pinned from the code before the bounds chain lost its
+    # precision and factor parameters: the report JSON must not change
+    @pytest.mark.parametrize("args, digest", [
+        (["bounds", "--d", "9800000000000000000"],
+         "772396c2860967a89ebf27e281f31e9a93352fd19d53237ef693792cee4a524b"),
+        (["bounds", "--d", "-1996", "--P", "499"],
+         "d708bff068d299bee0748214af5067215fae8aa995716885c562b3d300f45d12"),
+        (["threshold", "--d", "1000000"],
+         "dd145dfa9585279c98b9633a2ac648566aa64bc5fa89450e179d53106976357f"),
+        (["identity", "--d", "-20"],
+         "36ca74db64d54d27ead70a2c27b481e3e38085e2f1baf5e18930bdf306c0403e"),
+        (["check", "420"],
+         "45e4556523040da753219fcf5fc25770345da22c2cfbbc8be822e6fdbcf4cea4"),
+        (["witness", "--d", "-56", "--p", "3"],
+         "3ac1466d9491cd6d9147d0ac2d33815030b5c941d41a7f61077f6a16979d9efd"),
+    ], ids=["bounds-floor", "bounds-P", "threshold", "identity", "check", "witness"])
+    def test_stdout_pinned(self, cli, args, digest):
+        code, out, err = cli(*args)
+        assert code == 0, err
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 class TestWitness:
@@ -316,6 +340,15 @@ class TestSieveCli:
         assert code == 1
         assert "checkpoint to resume from" in err and "Traceback" not in err
         assert not ck.exists()
+
+    def test_failed_checkpoint_write_leaves_no_tmp(self, cli, tmp_path):
+        # os.replace cannot put a file over a directory
+        ck = tmp_path / "ck"
+        ck.mkdir()
+        code, _, err = cli(*SIEVE_ARGS, "--checkpoint", str(ck))
+        assert code == 1
+        assert "Traceback" not in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["ck"]
 
     @pytest.mark.parametrize("edit", [
         lambda text: "{" + text,

