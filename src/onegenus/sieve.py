@@ -15,8 +15,8 @@ in bit k, so a single OR applies q's condition to 32 candidates.
 The stream has one shape for every configuration and two kernels with the
 same output: the same survivors in the same order, tallies and count of
 valid bits.  Both walk the words in the order (inner block of _BLOCK words,
-outer residue, inner word), generating each block's inner contributions once
-per outer chunk, so memory stays at one block however large P2 is;
+outer residue, inner word), preparing each block's inner part once per
+outer chunk, so memory stays at one block however large P2 is;
 run_sieve sorts the survivors at the end.  The
 first window of sieve primes, which tests every word, takes its residues
 from the outer and inner parts of each word instead of a 64-bit modulo.
@@ -25,13 +25,19 @@ The compiled kernel, _stream.c, runs when it can be built and loaded and
 survivors fit in uint64 (limit < 2^64).  `cc` builds it on first use, in a
 subprocess, into $XDG_CACHE_HOME/onegenus (default ~/.cache/onegenus, else a
 directory under tempfile.gettempdir()), under a name hashed from its source,
-flags and compiler version.  It steps the inner contributions and their
-first-window residues with a mixed-radix odometer.  Per outer residue it
-walks sub-blocks of 1024 inner words: the valid masks and the branchless
-first window, then the later primes on the compacted live words only.  The
-first window runs on AVX-512 (one pass per prime, 16-lane gathers and
-popcounts) where the CPU has it, else in plain C (word by word), chosen once
-per process at run time, so one cached file serves every CPU; _Runner.simd,
+flags and compiler version.  Its first window is a wheel over the two
+lowest P2 digits (fewer where the rows would pass _WHEEL_WORDS):
+consecutive inner words run through the group of their lifts, 120 words
+for criterion 8 and 180 at paper scale, with the higher digits fixed, which
+a mixed-radix odometer steps once per group.  So per outer residue, group
+and first-window prime, every word's table word lies in one of two
+contiguous rows of a table built once per runner, picked by whether the
+word wraps past m; no per-word residue is computed.  Each group runs the
+valid masks and the branchless first window, then the later primes on the
+compacted live words only.  The first window runs on AVX-512 (16
+words at a time: masked row loads merged by the wrap mask, popcounts) where
+the CPU has it, else in plain C (word by word), chosen once per process at
+run time, so one cached file serves every CPU; _Runner.simd,
 SieveOutcome.simd and the manifest's stream_simd name the path.  Otherwise
 the numpy kernel runs, which is also the compiled one's test oracle.  A numpy
 pass sieves about _BLOCK words, few enough for its arrays to stay in L2
@@ -89,6 +95,7 @@ _FIRST_MAX = 8            # at most this many first-window primes: FIRST_MAX in 
 _ALL_HIT = np.uint32(0xFFFFFFFF)
 _MAX_MODULUS = 1 << 62    # P1*P2 bound: every int64 sum stays below 2*P1*P2
 _SURVIVOR_CAPACITY = 1 << 16  # first survivor buffer of the compiled kernel; grows 4x when full
+_WHEEL_WORDS = 1 << 18    # bound on the compiled first window's row words, with its wheel
 
 
 def default_sieve_primes() -> tuple[int, ...]:
@@ -420,11 +427,11 @@ def _load_kernel(path: str) -> _Kernel:
     class Tables(ctypes.Structure):
         # struct onegenus_stream
         _fields_ = [("m", u64), ("lo_r", u64), ("hi_r", u64), ("valid_masks", ptr),
-                    ("outer_base", ptr), ("n_outer", i64),
+                    ("outer_base", ptr), ("n_outer", i64), ("group", i64), ("wheel", ptr),
                     ("n_digits", i64), ("digit_counts", ptr), ("digit_lifts", ptr),
-                    ("step", ptr), ("step_res", ptr), ("step_res_wrap", ptr),
+                    ("step", ptr),
                     ("n_first", i64), ("first_q", ptr), ("outer_res", ptr),
-                    ("wrap_fix", ptr), ("tables3", ptr),
+                    ("wrap_fix", ptr), ("rows", ptr),
                     ("n_primes", i64), ("primes", ptr), ("mu", ptr), ("tables", ptr)]
 
     span = lib.onegenus_sieve_span
@@ -540,29 +547,40 @@ class _Runner:
         if self._kernel is not None:
             import ctypes
 
-            counts = np.array(self.inner_counts, dtype=np.int64)
+            # The compiled first window is a wheel over the lowest P2 digits,
+            # two where the rows fit in _WHEEL_WORDS: inner index j = g*group + d
+            # has contribution hi(g) + wheel[d] mod m, so per outer residue
+            # and group x = (outer + hi) mod m is fixed, and a first-window
+            # prime q's table word for d is row x mod q, or row (x - m) mod q
+            # for a word that wraps past m, of rows[y][d] = table[(y + wheel[d])
+            # mod q].  The odometer steps only the higher digits, once per group.
+            first = self.first_q.ravel().tolist()
+            per_group = sum(first) + 2  # row words per wheel entry, and the entry's own two
+            n_wheel = min(2, len(self.inner_counts))
+            while n_wheel and per_group * math.prod(self.inner_counts[:n_wheel]) > _WHEEL_WORDS:
+                n_wheel -= 1
+            wheel = np.zeros(1, dtype=np.int64)
+            for lifts in self.inner_contribs[:n_wheel]:  # the first digit fastest
+                wheel = (wheel + lifts[:, None]).ravel()
+                np.subtract(wheel, m, out=wheel, where=wheel >= m)
+            rows = [t[(np.arange(q)[:, None] + wheel % q) % q] for q, t in zip(first, self.tables)]
+            higher = self.inner_contribs[n_wheel:]
+            counts = np.array(self.inner_counts[n_wheel:], dtype=np.int64)
+            # the odometer's step from each higher digit's value to the next, cyclically
+            step = np.concatenate([np.zeros(0, dtype=np.int64), *(np.roll(c, -1) - c for c in higher)])
+            step[step < 0] += m
             primes = np.array(self.primes, dtype=np.int64)
             mu = np.array([((1 << 64) - 1) // q for q in self.primes], dtype=np.uint64)
-            # the odometer's step from each digit value to the next, cyclically,
-            # mod m and mod each first-window q, without and with the wrap past
-            # m, the residues in zero-padded rows of _FIRST_MAX
-            step = np.concatenate([np.roll(c, -1) - c for c in self.inner_contribs])
-            step[step < 0] += m
-            q = self.first_q.ravel()
-            step_res, step_res_wrap = np.zeros((2, step.size, _FIRST_MAX), dtype=np.uint16)
-            step_res[:, :q.size] = step[:, None] % q
-            step_res_wrap[:, :q.size] = (step[:, None] + (q - m % q)) % q
-            lifts, tables3, tables = (np.array([t.ctypes.data for t in ts], dtype=np.uintp)
-                                      for ts in (self.inner_contribs, self.tables3, self.tables))
-            arrays = (counts, primes, mu, step, step_res, step_res_wrap, lifts, tables3, tables)
+            lifts, rows_ptr, tables = (np.array([t.ctypes.data for t in ts], dtype=np.uintp)
+                                       for ts in (higher, rows, self.tables))
+            arrays = (wheel, rows, counts, primes, mu, step, lifts, rows_ptr, tables)
             self._tables_arrays = arrays  # kept alive
             self._tables = self._kernel.Tables(
                 m, self.lo_r, self.hi_r, self.valid_masks.ctypes.data,
-                self.outer_base.ctypes.data, self.n_outer,
-                counts.size, counts.ctypes.data, lifts.ctypes.data,
-                step.ctypes.data, step_res.ctypes.data, step_res_wrap.ctypes.data,
-                len(self.tables3), self.first_q.ctypes.data, self.outer_res.ctypes.data,
-                self.wrap_fix.ctypes.data, tables3.ctypes.data,
+                self.outer_base.ctypes.data, self.n_outer, wheel.size, wheel.ctypes.data,
+                counts.size, counts.ctypes.data, lifts.ctypes.data, step.ctypes.data,
+                len(first), self.first_q.ctypes.data, self.outer_res.ctypes.data,
+                self.wrap_fix.ctypes.data, rows_ptr.ctypes.data,
                 primes.size, primes.ctypes.data, mu.ctypes.data, tables.ctypes.data,
             )
             self._tables_ptr = ctypes.addressof(self._tables)

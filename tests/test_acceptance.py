@@ -5,7 +5,6 @@ lines and measured numbers.  The heavier criteria (2, 6) stay well inside
 their stated runtime budgets on commodity hardware.
 """
 import io
-import math
 import random
 import sys
 import time

@@ -5,7 +5,7 @@ from mpmath import mp, mpf
 from sympy import divisor_sigma
 
 from onegenus import bounds, forms
-from onegenus.arith import factorize, omega
+from onegenus.arith import omega
 from onegenus.bounds import (
     WaldschmidtParams,
     beta_height_bound,

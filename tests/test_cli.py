@@ -1,7 +1,6 @@
 import hashlib
 import itertools
 import json
-import os
 import re
 
 import numpy as np

@@ -9,7 +9,6 @@ import math
 from unittest import mock
 
 import numpy as np
-import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from mpmath import mp

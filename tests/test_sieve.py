@@ -626,6 +626,82 @@ class TestTopOfRange:
         assert alive == 877_265_694_611_341
 
 
+class TestWheelGroups:
+    """The compiled kernel walks each block in groups of consecutive inner
+    words that share the higher P2 digits, one row pair per first-window
+    prime and group; spans, blocks and chunks need not be aligned to a group.
+    Both compiled builds against the numpy kernel across those seams."""
+
+    @staticmethod
+    def _check(monkeypatch, kernels, config, lo, hi, inner, group):
+        for kernel in kernels:
+            monkeypatch.setattr(sieve, "_stream_kernel", lambda: kernel)
+            runner = sieve._Runner(config)
+            assert runner._tables.group == group
+            got = runner.process_range(lo, hi, inner)
+            expect = runner._process_range_numpy(lo, hi, inner)
+            assert got[0] == expect[0]
+            assert got[1].tolist() == expect[1].tolist()
+            assert got[2:] == expect[2:]
+        return expect
+
+    @pytest.mark.parametrize("block", [5, 127, None], ids=["block-5", "block-127", "default"])
+    def test_spans_inside_groups(self, monkeypatch, compiled_kernels, block):
+        # criterion 8: groups of 10*12 = 120 words; the span starts 37 words
+        # into a group and ends 55 into one, and blocks of 5 or 127 words
+        # are shorter than a group or not a multiple of it
+        if block is not None:
+            monkeypatch.setattr(sieve, "_BLOCK", block)
+        inner = (37, 4 * 120 + 55)
+        out = self._check(monkeypatch, compiled_kernels, SieveConfig(**CRITERION8), 3, 6, inner, 120)
+        assert out[1].sum() > 0 and out[3] == 3 * (inner[1] - inner[0])
+
+    @pytest.mark.parametrize("block", [5, 127, None], ids=["block-5", "block-127", "default"])
+    def test_pipeline_groups(self, monkeypatch, compiled_kernels, block):
+        # groups of 6*7 = 42 words, over every word and over a span inside groups
+        if block is not None:
+            monkeypatch.setattr(sieve, "_BLOCK", block)
+        config = SieveConfig(**PIPELINE)
+        self._check(monkeypatch, compiled_kernels, config, 0, 24, None, 42)
+        self._check(monkeypatch, compiled_kernels, config, 5, 9, (13, 301), 42)
+
+    @pytest.mark.parametrize("p2, group", [(211, 106), (2063, 1032)], ids=["one-group", "above-sub"])
+    @pytest.mark.parametrize("block", [5, 127, None], ids=["block-5", "block-127", "default"])
+    def test_one_p2_prime(self, monkeypatch, compiled_kernels, p2, group, block):
+        # one P2 prime: the whole inner set is one group, which the kernel
+        # cuts into runs of at most 1024 words when it is longer
+        if block is not None:
+            monkeypatch.setattr(sieve, "_BLOCK", block)
+        config = SieveConfig(p1_primes=(3, 5, 7, 11), p2_primes=(p2,),
+                             sieve_primes=tuple(primes_up_to(67)[6:]),
+                             limit=32 * 1155 * p2 - 1, small_cutoff=4 * p2**2 + 1)
+        runner = sieve._Runner(config)
+        assert runner.n_inner == group
+        self._check(monkeypatch, compiled_kernels, config, 0, 12, None, group)
+        self._check(monkeypatch, compiled_kernels, config, 100, 103, (3, group - 2), group)
+
+    @pytest.mark.parametrize("words, group", [(1, 1), (2000, 6)], ids=["no-wheel", "one-digit"])
+    def test_smaller_wheel_when_rows_would_not_fit(self, monkeypatch, compiled_kernels, words,
+                                                    group):
+        # a row budget too small for two digits leaves one, or none
+        monkeypatch.setattr(sieve, "_WHEEL_WORDS", words)
+        self._check(monkeypatch, compiled_kernels, SieveConfig(**PIPELINE), 2, 7, (11, 200), group)
+
+    def test_top_of_range_inside_groups(self, monkeypatch, compiled_kernels):
+        # the default products (groups of 12*15 = 180 words) at |d| ~ 9.8*10^18,
+        # from inside the first group to inside the twelfth
+        config = SieveConfig(limit=98 * 10**17)
+        for kernel in compiled_kernels:
+            monkeypatch.setattr(sieve, "_stream_kernel", lambda: kernel)
+            runner = sieve._Runner(config)
+            assert runner._tables.group == 180
+            n = runner.n_outer
+            out, tally, valid, words = runner.process_range(n - 1, n, (5, 2053))
+            a = runner.outer_base[n - 1] + runner._gen_contrib(5, 2053)
+            assert (valid, out, tally.tolist()) == _python_int_oracle(config, runner, a)
+            assert words == 2048
+
+
 def _oracle_csv(outcome) -> bytes:
     """The survivor CSV rendered one row at a time, from the survivor list."""
     cutoff = outcome.config.small_cutoff
@@ -722,6 +798,18 @@ class TestStreamKernel:
         [built] = os.listdir(tmp_path / "onegenus")
         assert built.startswith(f"stream-{hashlib.sha256(source.read_bytes()).hexdigest()[:24]}-")
 
+    @pytest.mark.parametrize("defines", [[], ["-DONEGENUS_NO_SIMD"]], ids=["package", "no-simd"])
+    def test_builds_without_warnings(self, tmp_path, defines):
+        # the package's flags with every common warning made an error, with
+        # the AVX-512 first window compiled in and without it
+        if shutil.which("cc") is None:
+            pytest.skip("no cc on PATH")
+        source = resources.files("onegenus").joinpath("_stream.c").read_bytes()
+        proc = subprocess.run(["cc", *sieve._kernel_flags(), "-Wall", "-Wextra", "-Werror", *defines,
+                               "-shared", "-fPIC", "-x", "c", "-", "-o", str(tmp_path / "stream.so")],
+                              input=source, capture_output=True)
+        assert proc.returncode == 0, proc.stderr.decode()
+
     @pytest.mark.parametrize("failure", ["no-compiler", "unwritable-cache", "corrupt-so"])
     def test_falls_back_to_numpy(self, monkeypatch, tmp_path, failure):
         config = SieveConfig(**PIPELINE)
@@ -770,9 +858,9 @@ class TestStreamKernel:
         assert got[2:] == expect[2:]
 
     def test_first_window_width_is_the_kernels(self, compiled_kernels):
-        # Python sizes the first window and the rows of step residues by
-        # _FIRST_MAX, the kernel its arrays by FIRST_MAX; a struct with more
-        # first-window primes than that is refused before anything is read
+        # Python sizes the first window by _FIRST_MAX, the kernel its
+        # segments' residues and row pointers by FIRST_MAX; a struct with
+        # more first-window primes than that is refused before anything is read
         source = resources.files("onegenus").joinpath("_stream.c").read_text()
         assert re.search(r"#define FIRST_MAX (\d+)", source).group(1) == str(sieve._FIRST_MAX)
         runner = _compiled_runner(SieveConfig(**PIPELINE))
