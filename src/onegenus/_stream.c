@@ -32,8 +32,15 @@
       for a wrapped word: the prime's tally gains popcount(t & ~w), and
       w |= t, with no branch;
    3. the indices of the words that still have a live bit are compacted,
-      and only those words, in order, run the later primes, taking a mod q by
-      a Barrett reduction, and emit their survivors.
+      and those words, their a and w, join a pending buffer of at most
+      PENDING words, in order.  When the next segment's would not fit, and
+      once at the end of the call, the later primes run over it: per prime,
+      one branchless pass takes each a mod q by a Barrett reduction, credits
+      popcount(u & ~w) to the prime's tally and sets w |= u, u the table
+      word, then the words still live are compacted in place, and the passes
+      stop once none are.  The survivors of the words left follow, in order.
+      A fully hit word credits nothing, so the tally does not depend on when
+      it is dropped, and the output is that of a walk word by word.
    Steps 1 and 2 and the compaction come in two versions that give the same
    w, tallies and live list, both fused so that a word's w stays in a
    register through the first window.  The plain C one goes word by word,
@@ -58,6 +65,7 @@
 
 #define ALL_HIT 0xFFFFFFFFu
 #define SUB 1024 /* at most this many words per segment, a multiple of 16 */
+#define PENDING 4096 /* at most this many live words wait for the later primes, >= SUB */
 #define FIRST_MAX 8 /* at most this many first-window primes: sieve._FIRST_MAX */
 
 #if !defined(ONEGENUS_NO_SIMD) && defined(__x86_64__) \
@@ -233,6 +241,43 @@ static inline uint64_t mod_barrett(uint64_t a, uint64_t q, uint64_t mu)
     return r >= q ? r - q : r;
 }
 
+/* Step 3 over the n pending words, a[j] and hit word h[j] in walk order:
+   one branchless pass per later prime, after which the words that still
+   have a live bit are compacted in place, until none are left; a fully hit
+   word credits nothing, so when it is dropped does not change the tally.
+   Then the survivors a + k*m, k a clear bit of h, follow out[0..n_out).
+   Returns the new n_out, or -1 when they would not fit in capacity.  */
+static int64_t later_primes(const struct onegenus_stream *st, uint64_t *a, uint32_t *h,
+                            int64_t n, int64_t *tally, uint64_t *out, int64_t n_out,
+                            int64_t capacity)
+{
+    for (int64_t i = st->n_first; i < st->n_primes && n; i++) {
+        const uint64_t q = (uint64_t)st->primes[i], mu = st->mu[i];
+        const uint32_t *table = st->tables[i];
+        int64_t credit = 0, kept = 0;
+        for (int64_t j = 0; j < n; j++) {
+            uint64_t aj = a[j];
+            uint32_t hj = h[j], u = table[mod_barrett(aj, q, mu)];
+            credit += __builtin_popcount(u & ~hj);
+            hj |= u;
+            a[kept] = aj;
+            h[kept] = hj;
+            kept += hj != ALL_HIT;
+        }
+        tally[i] += credit;
+        n = kept;
+    }
+    const uint64_t m = st->m;
+    for (int64_t j = 0; j < n; j++) {
+        uint32_t rem = ~h[j];
+        if (n_out + __builtin_popcount(rem) > capacity)
+            return -1;
+        for (; rem; rem &= rem - 1)
+            out[n_out++] = a[j] + (uint64_t)__builtin_ctz(rem) * m;
+    }
+    return n_out;
+}
+
 /* The segments of the len words from inner index s, into seg; returns their
    number.  digit holds the higher digits.  */
 static int64_t block_segments(const struct onegenus_stream *st, int64_t s, int64_t len,
@@ -293,15 +338,17 @@ int64_t onegenus_sieve_span(const struct onegenus_stream *st, int64_t lo, int64_
        cut into runs of at most SUB words */
     int64_t max_segments = (span / group + 2) * ((group + SUB - 1) / SUB);
 
-    /* one allocation for: the tally, the odometer's digits and the block's
-       segments */
-    size_t bytes = sizeof(int64_t) * (size_t)(n_primes + st->n_digits)
-                 + sizeof(struct segment) * (size_t)max_segments;
-    int64_t *tally = malloc(bytes);
-    if (!tally)
+    /* one allocation for: the pending words' a, the tally, the odometer's
+       digits, the block's segments and the pending words' hit words */
+    size_t bytes = sizeof(uint64_t) * PENDING + sizeof(int64_t) * (size_t)(n_primes + st->n_digits)
+                 + sizeof(struct segment) * (size_t)max_segments + sizeof(uint32_t) * PENDING;
+    uint64_t *pend_a = malloc(bytes);
+    if (!pend_a)
         return -2;
+    int64_t *tally = (int64_t *)(pend_a + PENDING);
     int64_t *digit = tally + n_primes;
     struct segment *seg = (struct segment *)(digit + st->n_digits);
+    uint32_t *pend_h = (uint32_t *)(seg + max_segments);
     static const uint32_t zero_row[SUB];
     const uint32_t *seg_rows[2 * FIRST_MAX]; /* y0 then y1 rows, FIRST_MAX of each */
     for (int i = 0; i < 2 * FIRST_MAX; i++)
@@ -312,7 +359,7 @@ int64_t onegenus_sieve_span(const struct onegenus_stream *st, int64_t lo, int64_
     for (int64_t i = 0; i < n_primes; i++)
         tally[i] = 0;
 
-    int64_t n_out = 0, valid = 0, words = 0;
+    int64_t n_out = 0, valid = 0, words = 0, n_pend = 0;
     for (int64_t s = inner_lo; s < inner_hi; s += block) {
         int64_t len = inner_hi - s < block ? inner_hi - s : block;
         int64_t n_seg = block_segments(st, s, len, digit, seg);
@@ -338,35 +385,30 @@ int64_t onegenus_sieve_span(const struct onegenus_stream *st, int64_t lo, int64_
                 const uint64_t *wheel = st->wheel + seg[t].d;
                 int64_t n_live = first_window(st, x, wheel, seg_rows, seg[t].len, w, live,
                                               tally, &valid);
+                if (n_pend + n_live > PENDING) {
+                    n_out = later_primes(st, pend_a, pend_h, n_pend, tally, out, n_out, capacity);
+                    n_pend = 0;
+                    if (n_out < 0)
+                        goto done;
+                }
                 for (int64_t j = 0; j < n_live; j++) {
-                    int64_t k = live[j];
-                    uint64_t a = x + wheel[k];
-                    a -= m & -(uint64_t)(a >= m);
-                    uint32_t h = w[k];
-                    for (int64_t i = n_first; i < n_primes && h != ALL_HIT; i++) {
-                        uint32_t u = st->tables[i][mod_barrett(a, (uint64_t)st->primes[i], st->mu[i])];
-                        tally[i] += __builtin_popcount(u & ~h);
-                        h |= u;
-                    }
-                    if (h == ALL_HIT)
-                        continue;
-                    uint32_t rem = ~h;
-                    if (n_out + __builtin_popcount(rem) > capacity) {
-                        free(tally);
-                        return -1;
-                    }
-                    for (; rem; rem &= rem - 1)
-                        out[n_out++] = a + (uint64_t)__builtin_ctz(rem) * m;
+                    uint64_t a = x + wheel[live[j]];
+                    pend_a[n_pend] = a - (m & -(uint64_t)(a >= m));
+                    pend_h[n_pend++] = w[live[j]];
                 }
             }
         }
         words += len * (hi - lo);
     }
+    n_out = later_primes(st, pend_a, pend_h, n_pend, tally, out, n_out, capacity);
+    if (n_out < 0)
+        goto done;
 
     for (int64_t i = 0; i < n_primes; i++)
         tally_out[i] = tally[i];
     counts_out[0] = valid;
     counts_out[1] = words;
-    free(tally);
+done:
+    free(pend_a);
     return n_out;
 }

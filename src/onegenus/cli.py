@@ -111,6 +111,8 @@ def _prime_range(text: str) -> tuple[int, ...]:
     if not _:
         raise argparse.ArgumentTypeError("expected LO..HI")
     lo_v, hi_v = int(lo), int(hi)
+    if lo_v > hi_v:
+        raise argparse.ArgumentTypeError(f"{text} is a reversed range: LO must not exceed HI")
     return tuple(p for p in primes_up_to(hi_v) if p >= lo_v)
 
 

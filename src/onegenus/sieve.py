@@ -33,12 +33,14 @@ a mixed-radix odometer steps once per group.  So per outer residue, group
 and first-window prime, every word's table word lies in one of two
 contiguous rows of a table built once per runner, picked by whether the
 word wraps past m; no per-word residue is computed.  Each group runs the
-valid masks and the branchless first window, then the later primes on the
-compacted live words only.  The first window runs on AVX-512 (16
-words at a time: masked row loads merged by the wrap mask, popcounts) where
-the CPU has it, else in plain C (word by word), chosen once per process at
-run time, so one cached file serves every CPU; _Runner.simd,
-SieveOutcome.simd and the manifest's stream_simd name the path.  Otherwise
+valid masks and the branchless first window; the words still live join a
+pending buffer of a few thousand, which the later primes sieve in one
+branchless pass per prime, dropping the words each pass leaves fully hit.
+The first window runs on AVX-512 (16 words at a time: masked row loads
+merged by the wrap mask, popcounts) where the CPU has it, else in plain C
+(word by word), chosen once per process at run time, so one cached file
+serves every CPU; _Runner.simd, SieveOutcome.simd and the manifest's
+stream_simd name the path.  Otherwise
 the numpy kernel runs, which is also the compiled one's test oracle.  A numpy
 pass sieves about _BLOCK words, few enough for its arrays to stay in L2
 cache: the block shifted by as many outer residues of the chunk as that

@@ -198,6 +198,17 @@ class TestIntegerOptions:
         b = cli(command, "--d=-98e17")
         assert a[0] == b[0] == 0 and a[1] == b[1]
 
+    def test_reversed_sieve_prime_range_is_usage_error(self, capsys):
+        # a reversed range is refused rather than read as no sieve primes;
+        # an ascending range without a prime in it still means none
+        from onegenus import cli as climod
+
+        assert climod.main(["sieve", "--limit", "1e6", "--sieve-primes", "47..19"]) == 1
+        err = capsys.readouterr().err
+        assert "--sieve-primes" in err and "47..19" in err
+        assert climod._prime_range("19..47") == (19, 23, 29, 31, 37, 41, 43, 47)
+        assert climod._prime_range("24..28") == ()
+
     def test_fractional_discriminant_is_usage_error(self, cli):
         code, _, err = cli("check", "20.5")
         assert code == 1

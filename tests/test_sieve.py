@@ -702,6 +702,78 @@ class TestWheelGroups:
             assert words == 2048
 
 
+# the stream-dense shape: the criterion-8 primes at limit 32*P1*P2, where
+# every word has valid bits
+DENSE = dict(CRITERION8,
+             limit=32 * math.prod(CRITERION8["p1_primes"]) * math.prod(CRITERION8["p2_primes"]))
+
+
+def _pending_words() -> int:
+    source = resources.files("onegenus").joinpath("_stream.c").read_text()
+    return int(re.search(r"#define PENDING (\d+)", source).group(1))
+
+
+def _live_words(config: SieveConfig, lo: int, hi: int) -> int:
+    """The words of outer indices [lo, hi) with a live bit after the first
+    window: the distinct words of the survivors of its primes alone."""
+    runner = sieve._Runner(config)
+    first = SieveConfig(p1_primes=config.p1_primes, p2_primes=config.p2_primes,
+                        sieve_primes=tuple(runner.first_q.ravel().tolist()),
+                        limit=config.limit, small_cutoff=config.small_cutoff)
+    return len({a % runner.m for a in sieve._Runner(first)._process_range_numpy(lo, hi)[0]})
+
+
+class TestPendingBuffer:
+    """The compiled kernel holds the live words of its segments in a pending
+    buffer of PENDING words, and runs the later primes over it, one pass per
+    prime, when the next segment's would not fit and once at the end of the
+    call.  Both compiled builds against the numpy kernel across those seams."""
+
+    @pytest.mark.parametrize("block", [127, None], ids=["block-127", "default"])
+    def test_dense_span_fills_the_buffer(self, monkeypatch, compiled_kernels, block):
+        # more than 3*PENDING live words in one call: at least three flushes
+        # while it walks, then the last one
+        if block is not None:
+            monkeypatch.setattr(sieve, "_BLOCK", block)
+        config = SieveConfig(**DENSE)
+        assert _live_words(config, 0, 120) > 3 * _pending_words()
+        out = TestWheelGroups._check(monkeypatch, compiled_kernels, config, 0, 120, None, 120)
+        assert out[1][8:].sum() > 0 and out[2] > 0
+
+    @pytest.mark.parametrize("block", [127, None], ids=["block-127", "default"])
+    def test_dense_span_inside_groups(self, monkeypatch, compiled_kernels, block):
+        # 1800 inner words are 15 groups of 120; the span starts 37 words
+        # into the first and ends 55 into the last
+        if block is not None:
+            monkeypatch.setattr(sieve, "_BLOCK", block)
+        inner = (37, 14 * 120 + 55)
+        out = TestWheelGroups._check(monkeypatch, compiled_kernels, SieveConfig(**DENSE), 5, 17,
+                                     inner, 120)
+        assert out[1][8:].sum() > 0 and out[3] == 12 * (inner[1] - inner[0])
+
+    def test_survivor_overflow_after_the_first_flush(self, monkeypatch, compiled_kernels):
+        # one later prime leaves many survivors; the survivor buffer holds
+        # those of the first PENDING words that have one, so at least the
+        # first flush's, but not the call's: it overflows at a later flush
+        config = SieveConfig(**dict(DENSE, sieve_primes=DENSE["sieve_primes"][:9]))
+        runner = sieve._Runner(config)
+        expect = runner._process_range_numpy(0, 200)
+        words = list(dict.fromkeys(a % runner.m for a in expect[0]))
+        assert len(words) > 2 * _pending_words()
+        first = set(words[:_pending_words()])
+        capacity = sum(a % runner.m in first for a in expect[0])
+        assert capacity < len(expect[0])
+        monkeypatch.setattr(sieve, "_SURVIVOR_CAPACITY", capacity)
+        for kernel in compiled_kernels:
+            monkeypatch.setattr(sieve, "_stream_kernel", lambda: kernel)
+            runner = sieve._Runner(config)
+            got = runner.process_range(0, 200)
+            assert runner._out.size == 4 * capacity
+            assert got[0] == expect[0]
+            assert got[1].tolist() == expect[1].tolist()
+            assert got[2:] == expect[2:]
+
+
 def _oracle_csv(outcome) -> bytes:
     """The survivor CSV rendered one row at a time, from the survivor list."""
     cutoff = outcome.config.small_cutoff
