@@ -14,8 +14,9 @@ from .forms import (
     genus_report,
     is_fundamental,
     reduce_form,
+    witness_form,
 )
-from .sieve import SieveConfig, SieveOutcome, run_sieve, witness_form
+from .sieve import SieveConfig, SieveOutcome, run_sieve
 from .survivors import full_check, idoneal_scan
 from .analytic import AuxiliaryK, choose_k, fundamental_unit, verify_identity
 from .bounds import WaldschmidtParams, bound_report, theorem_threshold

@@ -1,7 +1,9 @@
 """Survivor verification and bulk ambiguous-form scans.
 
 Candidates that pass the sieve (or sit below its trusted cutoff) are settled
-here by exact form enumeration.  Whole-range scans take two routes.
+one at a time by full_check, witness-first: a reduced non-ambiguous prime
+form (p, b, k) settles "no", and the forms are enumerated exactly only when
+d has no such p.  Whole-range scans take two routes.
 
 `ocpg_values` and `idoneal_scan` only ask whether -|d| has a reduced
 non-ambiguous form (a, b, c), 0 < b < a < c; none exists exactly when every
@@ -28,9 +30,12 @@ from .arith import kronecker
 
 
 def full_check(d: int) -> forms.GenusReport:
-    """Authoritative one-class-per-genus verdict by exact enumeration.
+    """Authoritative one-class-per-genus verdict (forms.genus_report).
 
-    Raises ValueError for an invalid d or |d| above forms.ENUMERATION_LIMIT.
+    Settled by the form (p, b, k) of the first odd prime witness p of d when
+    there is one, by exact enumeration otherwise; the report's other fields
+    enumerate on first read.  Raises ValueError for an invalid d or |d| above
+    forms.ENUMERATION_LIMIT.
     """
     return forms.genus_report(d)
 
@@ -185,10 +190,11 @@ def idoneal_scan(max_n: int) -> list[int]:
 
 
 def qr_prefilter(d: int, primes: list[int]) -> int | None:
-    """Advisory pre-filter: first prime p with d a nonzero QR mod p, else None.
+    """First prime p of primes with d a nonzero QR mod p, else None.
 
-    A hit with 4p^2 < |d| certifies a reduced non-ambiguous form; the exact
-    enumeration in full_check remains the canonical verdict either way.
+    A hit with 4p^2 < |d| certifies a reduced non-ambiguous form,
+    forms.witness_form(d, p).  full_check searches the odd primes in order
+    itself; this takes a given prime list, as a replay of the sieve does.
     """
     forms.validate_discriminant(d)
     for p in primes:

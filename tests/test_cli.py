@@ -127,9 +127,15 @@ class TestReportBytes:
          "36ca74db64d54d27ead70a2c27b481e3e38085e2f1baf5e18930bdf306c0403e"),
         (["check", "420"],
          "45e4556523040da753219fcf5fc25770345da22c2cfbbc8be822e6fdbcf4cea4"),
+        # settled by a prime witness, (3, 1, 35) and (5, 1, 50); the JSON still lists every form
+        (["check", "419"],
+         "58764b67ac6a0ff041b3fbb860e5b835ca6de6d67842e074101af059bfa36517"),
+        (["check", "999"],
+         "8052fe8ff0a61d1eb52b0aad93d1e617e600d83b5ce865df9b5487c8574b0907"),
         (["witness", "--d", "-56", "--p", "3"],
          "3ac1466d9491cd6d9147d0ac2d33815030b5c941d41a7f61077f6a16979d9efd"),
-    ], ids=["bounds-floor", "bounds-P", "threshold", "identity", "check", "witness"])
+    ], ids=["bounds-floor", "bounds-P", "threshold", "identity", "check",
+            "check-witnessed-fundamental", "check-witnessed-nonfundamental", "witness"])
     def test_stdout_pinned(self, cli, args, digest):
         code, out, err = cli(*args)
         assert code == 0, err

@@ -2,12 +2,13 @@ import math
 import random
 
 import pytest
+import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from sympy.ntheory.residue_ntheory import sqrt_mod
 
 from onegenus import forms
-from onegenus.arith import omega
+from onegenus.arith import kronecker, omega
 from onegenus.forms import QuadForm, enumerate_reduced, genus_report, reduce_form
 
 
@@ -186,6 +187,18 @@ class TestClassNumber:
                      (-47, 5), (-71, 7), (-5460, 16)]:
             assert forms.class_number(d) == h, d
 
+    def test_counts_the_enumeration(self, monkeypatch):
+        # class_number counts the enumeration's arrays; it builds no forms
+        rng = random.Random(19)
+        ns = [3, 4, 7392, 10**6 + 3] + [n for n in rng.sample(range(3, 10**6), 60) if n % 4 in (0, 3)]
+        expected = {n: len(enumerate_reduced(-n)) for n in ns}
+
+        def refuse(*args):
+            raise AssertionError("class_number built a QuadForm")
+
+        monkeypatch.setattr(forms, "QuadForm", refuse)
+        assert {n: forms.class_number(-n) for n in ns} == expected
+
 
 class TestAmbiguous:
     def test_examples(self):
@@ -249,6 +262,46 @@ class TestGenusReport:
             "one_class_per_genus", "is_fundamental",
         }
         assert d["forms"] == [[1, 0, 5], [2, 2, 3]]
+
+
+class TestWitnessVerdict:
+    """The witness-first verdict against the enumeration's, and the witnesses themselves."""
+
+    @staticmethod
+    def _agrees(n: int) -> bool:
+        rep = genus_report(-n)
+        verdict = rep.one_class_per_genus  # read first: settled by the witness when there is one
+        return verdict == (rep.ambiguous_count == rep.class_number)
+
+    def test_every_d_to_3e4(self):
+        wrong = [n for n in range(3, 30001) if n % 4 in (0, 3) and not self._agrees(n)]
+        assert wrong == []
+
+    def test_seeded_sample_to_1e7(self):
+        rng = random.Random(19)
+        ns = [n for n in (rng.randrange(10**5, 10**7 + 1) for _ in range(80)) if n % 4 in (0, 3)]
+        assert len(ns) > 30
+        assert [n for n in ns if not self._agrees(n)] == []
+
+    def test_witness_is_the_first_prime_form(self):
+        rng = random.Random(23)
+        ns = [forms.ENUMERATION_LIMIT, forms.ENUMERATION_LIMIT - 1, 37, 40, 7392]
+        ns += [int(10 ** rng.uniform(1.5, 10)) for _ in range(400)]
+        witnessed = 0
+        for n in (n for n in ns if n % 4 in (0, 3)):
+            w = genus_report(-n).witness
+            prime = next((p for p in range(3, math.isqrt(n) + 1, 2) if 4 * p * p < n
+                          and sympy.isprime(p) and kronecker(-n, p) == 1), None)
+            if prime is None:
+                assert w is None, n
+                continue
+            witnessed += 1
+            a, b, c = w.as_tuple()
+            assert a == prime, n
+            assert b * b - 4 * a * c == -n and 4 * a * a < n, n
+            assert w.is_reduced() and not w.is_ambiguous(), n
+            assert math.gcd(math.gcd(a, b), c) == 1, n
+        assert witnessed > 150
 
 
 class TestFundamentalInvariants:

@@ -61,6 +61,34 @@ class TestFullCheck:
         with pytest.raises(ValueError):
             survivors.full_check(-(10**12))
 
+    def test_witnessed_verdict_does_not_enumerate(self, monkeypatch):
+        def refuse(d):
+            raise AssertionError(f"enumerated {d}")
+
+        monkeypatch.setattr(forms, "enumerate_reduced", refuse)
+        # witnesses (3, 2, 5), (5, 1, 50), (3, 2, 50004) and, at the limit, (13, 6, 192307693)
+        for n in (56, 999, 600044, 10**10):
+            rep = survivors.full_check(-n)
+            assert rep.one_class_per_genus is False, n
+            assert rep.witness is not None, n
+
+    def test_unwitnessed_verdict_enumerates(self, monkeypatch):
+        # every OCPG d lacks a prime witness, so its verdict needs the forms
+        calls = []
+        enumerate_reduced = forms.enumerate_reduced
+
+        def counted(d):
+            calls.append(d)
+            return enumerate_reduced(d)
+
+        monkeypatch.setattr(forms, "enumerate_reduced", counted)
+        rep = survivors.full_check(-7392)
+        assert rep.witness is None
+        assert rep.one_class_per_genus is True
+        assert calls == [-7392]
+        assert rep.class_number == rep.ambiguous_count == 24
+        assert calls == [-7392]  # the forms are enumerated once per report
+
 
 class TestCensus:
     @pytest.mark.parametrize("limit", [10**5, 10**6])
