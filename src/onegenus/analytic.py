@@ -9,9 +9,11 @@ two independent ways where possible:
 
 * L(1, chi_k): class number formula 2 h(k) log(eps) / sqrt(k) against the
   finite log-sin character sum;
-* L(1, chi_k chi_d): class number formula h(kd) pi / sqrt(k |d|) against the
-  finite cotangent character sum (the exact value of the Dirichlet series at
-  s = 1 for an odd character).
+* L(1, chi_k chi_d): class number formula h(kd) pi / sqrt(k |d|), with h(kd)
+  counted from reduced forms, against -pi B_{1,chi} / sqrt(k |d|), the exact
+  value of the Dirichlet series at s = 1 for the odd primitive character
+  chi = (kd/.), where k |d| B_{1,chi} = sum_{0<r<k|d|} r chi(r) is an
+  integer sum over the Kronecker character table.
 
 h(k) and log(eps) of the real field Q(sqrt(k)) come from one
 continued-fraction step on reduced irrationals (p + sqrt(k))/q, whose
@@ -19,11 +21,9 @@ expansions are purely periodic: one period of omega = (b + sqrt(k))/2 gives
 eps = y omega + y', and h(k) is the number of cycles of the reduced
 irrationals of discriminant k, with no adjustment for the norm of eps.
 
-The cotangent sum runs in fixed point: Python integers scaled by 2^B, one
-rotation by e^(i pi/m) per term and one integer division per cotangent, with
-the character tabulated from one period of each Kronecker symbol.  Its error
-grows linearly in the number of rotation steps; l2_series states the bound
-and sizes B from it so that the sum is exact to the working precision.
+The character is tabulated from one period of each Kronecker symbol, and
+the Bernoulli sum is taken in integers, so the Bernoulli route rounds once,
+at its last step.
 
 Reals are carried as mpmath values at DEFAULT_DPS = 60 significant digits.
 verify_identity refuses fewer than MIN_DPS = 15, where the two routes
@@ -38,7 +38,6 @@ from fractions import Fraction
 
 import numpy as np
 from mpmath import mp, mpf
-from mpmath.libmp import dps_to_prec
 
 from . import forms
 from .arith import is_prime, is_squarefree, kronecker, odd_primes_not_dividing
@@ -207,49 +206,24 @@ def _character_blocks(k: int, d: int, stop: int):
 
 
 def l2_series(k: int, d: int, dps: int = DEFAULT_DPS) -> mpf:
-    """L(1, chi_k chi_d) as the exact finite cotangent sum for an odd character.
+    """L(1, chi_k chi_d) from the exact Bernoulli sum of an odd primitive character.
 
-    Pairing n with m-n in the Hurwitz-zeta expansion of the Dirichlet series
-    at s=1 leaves (pi/m) * sum_{0<r<m/2} chi(r) cot(pi r / m), with m = k|d|.
-
-    The sum is taken in fixed point, in integers scaled by 2^B.  (c, s)
-    starts at (2^B, 0) and is rotated once per r by (C, S), cos and sin of
-    pi/m rounded to the same scale: a multiply pair per component and a
-    floor shift.  Each nonzero term adds chi(r) * floor(c 2^B / s); the
-    total becomes an mpf once, at the end.
-
-    Error bound, with u = 2^-B.  Each rotation step truncates by less than
-    sqrt(2) u and inherits at most 0.72 u from the rounding of (C, S), so
-    after r steps (c, s) * u is within 2.2 r u of (cos, sin)(pi r/m): the
-    error grows linearly in the number of steps (from dps = MIN_DPS on,
-    B > 1.5 log2 m + 53 keeps the compounding factor (1 + u)^r below
-    1 + 2^-40).  Since
-    sin(pi r/m) >= 2r/m for r <= m/2, each cotangent is off by at most
-    0.8 m^2 u / r + u, and (pi/m) times the sum by at most
-    2.6 m (1 + ln m) u.  When k|d| is a fundamental discriminant,
-    L >= pi/sqrt(m), so the relative error is at most
-    0.83 m^1.5 (1 + ln m) u.  B = P + G, with P the binary precision of
-    dps and the guard G = ceil(log2(m^1.5 (1 + ln m))) + 2, keeps it under
-    2^-P / 4, below the rounding of the returned value.
+    For squarefree k = 1 (mod 4) coprime to a fundamental d, kd is a
+    fundamental discriminant and chi = chi_k chi_d = (kd/.) is real, odd and
+    primitive mod m = k|d|.  Its Dirichlet series at s = 1 is then
+    -pi B_{1,chi} / sqrt(m) with B_{1,chi} = S/m, S = sum_{0<r<m} r chi(r)
+    (Davenport, Multiplicative Number Theory, ch. 6).  S is summed exactly:
+    one int64 dot product per character block, each below _CHI_BLOCK * m in
+    size, added to a Python int.  Only -pi S / m^1.5 is rounded, at dps plus
+    guard digits and then to dps.
     """
     m = k * (-d)
-    guard = math.ceil(1.5 * math.log2(m) + math.log2(1 + math.log(m))) + 2
-    bits = dps_to_prec(dps) + guard
-    with mp.workprec(bits + 10):
-        step = mp.pi / m
-        cos_step = int(mp.nint(mp.ldexp(mp.cos(step), bits)))
-        sin_step = int(mp.nint(mp.ldexp(mp.sin(step), bits)))
-    c, s = 1 << bits, 0  # r = 0, where chi(0) = 0
-    total = 0
-    for chi in _character_blocks(k, d, (m + 1) // 2):
-        for x in chi.tolist():
-            if x > 0:
-                total += (c << bits) // s
-            elif x:
-                total -= (c << bits) // s
-            c, s = (c * cos_step - s * sin_step) >> bits, (c * sin_step + s * cos_step) >> bits
-    with mp.workprec(bits):
-        value = mp.pi * mp.ldexp(total, -bits) / m
+    total = lo = 0
+    for chi in _character_blocks(k, d, m):
+        total += int(np.dot(np.arange(lo, lo + len(chi), dtype=np.int64), chi))
+        lo += len(chi)
+    with mp.workdps(dps + 10):
+        value = -mp.pi * total / (m * mp.sqrt(m))
     with mp.workdps(dps):
         return +value
 

@@ -98,7 +98,7 @@ def beta_height_bound(d: int) -> mpf:
         raise ValueError(f"|d| >= 16 required, got {n}")
     with mp.workdps(DEFAULT_DPS):
         ln = mp.log(n)
-        return mpf("8.12") * mpf(n) ** mpf(1.5) * ln**6 * mp.log(ln)
+        return mpf("8.12") * mpf(n) ** mpf("1.5") * ln**6 * mp.log(ln)
 
 
 # Degrees of the coefficient (D0) and of the two logarithm arguments (D1, D2)
@@ -157,7 +157,7 @@ def waldschmidt_lower(p: WaldschmidtParams) -> mpf:
         raise ValueError("S1 and S2 must be positive")
     with mp.workdps(DEFAULT_DPS):
         return (
-            mpf(5e8)
+            mpf("5e8")
             * mpf(FIELD_DEGREE) ** 4
             * (p.s1 / D1)
             * (p.s2 / D2)
@@ -170,7 +170,7 @@ def paper_exponent(d: int) -> mpf:
     n = -d if d < 0 else d
     with mp.workdps(DEFAULT_DPS):
         ln = mp.log(n)
-        return mpf(1.2e16) * ln**3 * mp.log(ln)
+        return mpf("1.2e16") * ln**3 * mp.log(ln)
 
 
 def theorem_threshold(d: int) -> mpf:
@@ -180,7 +180,7 @@ def theorem_threshold(d: int) -> mpf:
         raise ValueError(f"|d| >= 16 required, got {n}")
     with mp.workdps(DEFAULT_DPS):
         ln = mp.log(n)
-        return mpf(5e15) * mp.sqrt(n) * ln**5 * mp.log(ln)
+        return mpf("5e15") * mp.sqrt(n) * ln**5 * mp.log(ln)
 
 
 def final_inequality_check(d: int, c: float = 5e15) -> dict:
@@ -197,7 +197,7 @@ def final_inequality_check(d: int, c: float = 5e15) -> dict:
         main = ln**3 * mp.log(ln)
         lhs = mpf(c) * main
         rhs_by_const = {
-            const: mpf(4.8e15) * main + mpf("1.24") * mp.log(mpf(const)) + mpf("1.24") * ln
+            const: mpf("4.8e15") * main + mpf("1.24") * mp.log(mpf(const)) + mpf("1.24") * ln
             for const in ("50.4", "51.6", "52.6")
         }
         rhs = rhs_by_const["51.6"]

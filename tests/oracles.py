@@ -2,7 +2,10 @@
 import math
 
 import numpy as np
+from mpmath import mp
+from mpmath.libmp import dps_to_prec
 
+from onegenus.analytic import DEFAULT_DPS, _character_blocks
 from onegenus.survivors import ambiguous_census
 
 
@@ -29,3 +32,51 @@ def primitive_class_counts(limit: int) -> np.ndarray:
             hp[m * g2] -= hp[m]
         lo *= 4
     return hp
+
+
+def l2_cot_fixed_point(k: int, d: int, dps: int = DEFAULT_DPS):
+    """L(1, chi_k chi_d) as the exact finite cotangent sum for an odd character.
+
+    Pairing n with m-n in the Hurwitz-zeta expansion of the Dirichlet series
+    at s=1 leaves (pi/m) * sum_{0<r<m/2} chi(r) cot(pi r / m), with m = k|d|.
+
+    The sum is taken in fixed point, in integers scaled by 2^B.  (c, s)
+    starts at (2^B, 0) and is rotated once per r by (C, S), cos and sin of
+    pi/m rounded to the same scale: a multiply pair per component and a
+    floor shift.  Each nonzero term adds chi(r) * floor(c 2^B / s); the
+    total becomes an mpf once, at the end.
+
+    Error bound, with u = 2^-B.  Each rotation step truncates by less than
+    sqrt(2) u and inherits at most 0.72 u from the rounding of (C, S), so
+    after r steps (c, s) * u is within 2.2 r u of (cos, sin)(pi r/m): the
+    error grows linearly in the number of steps (from dps = MIN_DPS on,
+    B > 1.5 log2 m + 53 keeps the compounding factor (1 + u)^r below
+    1 + 2^-40).  Since
+    sin(pi r/m) >= 2r/m for r <= m/2, each cotangent is off by at most
+    0.8 m^2 u / r + u, and (pi/m) times the sum by at most
+    2.6 m (1 + ln m) u.  When k|d| is a fundamental discriminant,
+    L >= pi/sqrt(m), so the relative error is at most
+    0.83 m^1.5 (1 + ln m) u.  B = P + G, with P the binary precision of
+    dps and the guard G = ceil(log2(m^1.5 (1 + ln m))) + 2, keeps it under
+    2^-P / 4, below the rounding of the returned value.
+    """
+    m = k * (-d)
+    guard = math.ceil(1.5 * math.log2(m) + math.log2(1 + math.log(m))) + 2
+    bits = dps_to_prec(dps) + guard
+    with mp.workprec(bits + 10):
+        step = mp.pi / m
+        cos_step = int(mp.nint(mp.ldexp(mp.cos(step), bits)))
+        sin_step = int(mp.nint(mp.ldexp(mp.sin(step), bits)))
+    c, s = 1 << bits, 0  # r = 0, where chi(0) = 0
+    total = 0
+    for chi in _character_blocks(k, d, (m + 1) // 2):
+        for x in chi.tolist():
+            if x > 0:
+                total += (c << bits) // s
+            elif x:
+                total -= (c << bits) // s
+            c, s = (c * cos_step - s * sin_step) >> bits, (c * sin_step + s * cos_step) >> bits
+    with mp.workprec(bits):
+        value = mp.pi * mp.ldexp(total, -bits) / m
+    with mp.workdps(dps):
+        return +value

@@ -22,6 +22,8 @@ from onegenus.analytic import (
 from onegenus.arith import kronecker
 from onegenus.errors import InternalCheckError
 
+from oracles import l2_cot_fixed_point
+
 
 def rel_close(x, y, tol):
     return abs(float(x) - float(y)) <= tol * abs(float(y))
@@ -229,11 +231,12 @@ class TestLValues:
 
 
 class TestL2Series:
-    """The fixed-point cotangent sum against the term-by-term mpmath oracle."""
+    """The exact Bernoulli sum, and the fixed-point cotangent sum it replaced,
+    against the term-by-term mpmath oracle."""
 
     def test_exact_to_working_precision_small_range(self):
-        # the docstring's bound keeps the fixed-point sum within 2^-prec / 4 and
-        # the returned value rounds by at most 2^-prec more, well under 10^-dps
+        # the sum S is an exact integer and -pi S / m^1.5, computed with 10
+        # guard digits, is off by one rounding at dps, well under 10^-dps
         for d in FUNDAMENTAL_UNDER_400:
             k = choose_k(d).k
             exact = _cot_sum_oracle(k, d, ORACLE_DPS)
@@ -242,9 +245,18 @@ class TestL2Series:
                 assert err <= mpf(10) ** -dps, (d, dps, err)
 
     def test_exact_to_working_precision_9811(self):
-        # m = 21 * 9811 = 206031: 103015 rotation steps
+        # m = 21 * 9811 = 206031: 103015 rotation steps in the fixed-point sum
         exact = _cot_sum_oracle(21, -9811, 70)
         assert _rel_error(analytic.l2_series(21, -9811, 60), exact) <= mpf(10) ** -60
+        assert _rel_error(l2_cot_fixed_point(21, -9811, 60), exact) <= mpf(10) ** -60
+
+    def test_block_seams_do_not_change_the_value(self, monkeypatch):
+        # in blocks of 7, m = 660, 10595 and 228 end on a short block, while
+        # m = 420 and 206031 end on a whole one
+        cases = [(33, -20), (65, -163), (57, -4), (21, -20), (21, -9811)]
+        whole = [analytic.l2_series(k, d) for k, d in cases]
+        monkeypatch.setattr(analytic, "_CHI_BLOCK", 7)
+        assert [analytic.l2_series(k, d) for k, d in cases] == whole
 
     def test_rejects_non_periodic_characters(self):
         with pytest.raises(ValueError, match="1 \\(mod 4\\)"):

@@ -11,13 +11,13 @@ from unittest import mock
 import numpy as np
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from mpmath import mp
+from mpmath import mp, mpf
 from sympy.solvers.diophantine.diophantine import diop_DN
 
 from onegenus import analytic, sieve, survivors
 from onegenus.analytic import choose_k
 from onegenus.arith import is_prime, is_squarefree, kronecker, primes_up_to
-from onegenus.forms import QuadForm, enumerate_reduced, is_fundamental, reduce_form
+from onegenus.forms import QuadForm, class_number, enumerate_reduced, is_fundamental, reduce_form
 from onegenus.sieve import SieveConfig, survivors_mod, witness_form
 
 PROPERTY = settings(derandomize=True, deadline=None, database=None, max_examples=150)
@@ -108,6 +108,18 @@ def test_character_table_is_the_odd_kronecker_product(d):
     chi = np.concatenate(list(analytic._character_blocks(k, d, m)))
     assert chi.tolist() == [kronecker(k, r) * kronecker(d, r) for r in range(m)]
     assert (chi[:0:-1] == -chi[1:]).all()  # chi(m - r) = -chi(r)
+
+
+# h(kd) by counting reduced forms against the Bernoulli sum of L(1, chi_k chi_d):
+# k|d| > 4, so L = pi h(kd) / sqrt(k|d|) exactly
+@PROPERTY
+@given(st.sampled_from(FUNDAMENTAL_UNDER_2000))
+def test_l2_series_gives_the_class_number_of_kd(d):
+    k = choose_k(d).k
+    m = k * -d
+    h = class_number(k * d)
+    with mp.workdps(analytic.DEFAULT_DPS):
+        assert abs(analytic.l2_series(k, d) * mp.sqrt(m) / mp.pi - h) <= mpf(10) ** -50 * h
 
 
 def real_k(below):
