@@ -291,7 +291,7 @@ def _cmd_threshold(args) -> int:
 
 
 def _cmd_witness(args) -> int:
-    w = sieve.witness_form(_neg_disc(args.d), args.p)
+    w = forms.witness_form(_neg_disc(args.d), args.p)
     write_report(
         {
             "form": list(w.form.as_tuple()),

@@ -63,6 +63,9 @@ value it holds in int64 is below 2q, and SieveConfig refuses P1*P2 >= 2^62.
 Eliminations are only trusted for |d| >= small_cutoff (which must exceed
 4*q^2 for every configured prime); everything below the cutoff is passed
 through as a survivor for direct checking.
+
+A run keeps one record, the SieveOutcome it returns, folded chunk by chunk
+and saved as its checkpoint, so that the checkpoint and the result agree.
 """
 from __future__ import annotations
 
@@ -229,26 +232,25 @@ def build_bit_tables(config: SieveConfig) -> dict[int, np.ndarray]:
     return words
 
 
-# The witness constructor lives in forms, beside QuadForm, where genus_report
-# settles survivors with it; the CLI `witness` command and perfbench's replay
-# call it by these names.
-Witness = forms.Witness
+# The witness constructor lives in forms, beside QuadForm; perfbench/checks.py
+# and test_benchmark_contract reach it by this name.
 witness_form = forms.witness_form
 
 
 @dataclass
 class SieveOutcome:
+    """The record of a run: its checkpoint while it runs, its result after."""
     direct: np.ndarray  # pass-through values below small_cutoff, ascending int64
-    stream: list[int]   # stream survivors, at or above small_cutoff, ascending
-    eliminated_count: int
+    stream: list[int]   # stream survivors, at or above small_cutoff; ascending once run_sieve returns
     tested_count: int
-    per_prime_tally: dict[int, int]
+    per_prime_tally: dict[int, int]  # the P1/P2 primes ascending, then the sieve primes
     config: SieveConfig
     completed: bool = True
     words_processed: int = 0
     stream_valid: int = 0
     kernel: str | None = None  # the stream kernel that ran, "c" or "numpy"; None without a stream
     simd: str | None = None    # the compiled kernel's SIMD path, "avx512" or "none"; else None
+    outer_index: int = 0       # the stream has covered the outer indices [0, outer_index)
 
     @property
     def direct_count(self) -> int:
@@ -258,10 +260,68 @@ class SieveOutcome:
     def survivor_count(self) -> int:
         return self.direct_count + len(self.stream)
 
+    @property
+    def eliminated_count(self) -> int:
+        return sum(self.per_prime_tally.values())
+
     @functools.cached_property
     def survivors(self) -> list[int]:
         """Every survivor as a Python int, ascending; built on first access."""
         return self.direct.tolist() + self.stream
+
+    @functools.cached_property
+    def _config_hash(self) -> str:  # once per record, not once per save
+        return self.config.config_hash()
+
+    def fold(self, end: int, survivors, tally, valid: int, words: int) -> None:
+        """Add one chunk's process_range result, the stream now covering [0, end)."""
+        self.outer_index = end
+        self.stream.extend(survivors)
+        self.stream_valid += valid
+        self.words_processed += words
+        for q, count in zip(self.config.sieve_primes, np.asarray(tally).tolist()):
+            self.per_prime_tally[q] += count
+
+    def save(self, path: str) -> None:
+        """Write the checkpoint to path through path.tmp, which is removed if the write fails."""
+        data = dict(config_hash=self._config_hash, outer_index=self.outer_index,
+                    stream_valid=self.stream_valid, words_processed=self.words_processed,
+                    bit_tally=[self.per_prime_tally[q] for q in self.config.sieve_primes],
+                    survivors=self.stream)
+        tmp = path + ".tmp"
+        try:
+            with open(tmp, "w") as fh:
+                json.dump(data, fh, sort_keys=True, indent=1)
+                fh.write("\n")
+            os.replace(tmp, path)
+        except BaseException:
+            with contextlib.suppress(FileNotFoundError):
+                os.unlink(tmp)
+            raise
+
+    def resume(self, path: str | None, chunk_ends) -> None:
+        """Fold in the checkpoint at path; CheckpointMismatch when it is missing
+        or unreadable, is for another config or ends none of chunk_ends."""
+        if not path or not os.path.exists(path):
+            raise CheckpointMismatch("resume requested but checkpoint file is missing")
+        try:
+            with open(path) as fh:
+                ck = json.load(fh)
+            if ck["config_hash"] != self._config_hash:
+                raise CheckpointMismatch(f"checkpoint hash {ck['config_hash']} does not match "
+                                         f"config {self._config_hash}")
+            # every key is read here, so that a missing one is a mismatch
+            end, valid, words, tally, survivors = (ck[key] for key in (
+                "outer_index", "stream_valid", "words_processed", "bit_tally", "survivors"))
+            ints = [end, valid, words, *tally, *survivors]
+        except (ValueError, KeyError, TypeError) as exc:
+            raise CheckpointMismatch(f"checkpoint {path} cannot be resumed from "
+                                     f"(corrupt or older format): {exc!r}") from None
+        if not all(type(v) is int for v in ints) or len(tally) != len(self.config.sieve_primes):
+            raise CheckpointMismatch(f"checkpoint {path} holds a field of the wrong type or length")
+        if end not in chunk_ends:
+            raise CheckpointMismatch(f"checkpoint outer_index {end} ends no chunk")
+        self.fold(end, survivors, tally, valid, words)
 
 
 _CSV_BLOCK = 1 << 16  # pass-through values rendered per numpy pass
@@ -711,43 +771,6 @@ def _chunk_spans(n_outer: int, n_inner: int) -> list[tuple[int, int]]:
     return [(lo, min(lo + size, n_outer)) for lo in range(0, n_outer, size)]
 
 
-def _write_checkpoint(path: str, data: dict) -> None:
-    """Write data to path through path.tmp, which is removed if the write fails."""
-    tmp = path + ".tmp"
-    try:
-        with open(tmp, "w") as fh:
-            json.dump(data, fh, sort_keys=True, indent=1)
-            fh.write("\n")
-        os.replace(tmp, path)
-    except BaseException:
-        with contextlib.suppress(FileNotFoundError):
-            os.unlink(tmp)
-        raise
-
-
-def _read_checkpoint(path: str | None, config: SieveConfig) -> dict:
-    """The resume state in path, checked against config; CheckpointMismatch otherwise."""
-    if not path or not os.path.exists(path):
-        raise CheckpointMismatch("resume requested but checkpoint file is missing")
-    try:
-        with open(path) as fh:
-            ck = json.load(fh)
-        if ck["config_hash"] != config.config_hash():
-            raise CheckpointMismatch(
-                f"checkpoint hash {ck['config_hash']} does not match config "
-                f"{config.config_hash()}"
-            )
-        ints = [ck["outer_index"], ck["stream_valid"], ck["words_processed"],
-                *ck["bit_tally"], *ck["survivors"]]
-    except (ValueError, KeyError, TypeError) as exc:
-        raise CheckpointMismatch(
-            f"checkpoint {path} cannot be resumed from (corrupt or older format): {exc!r}"
-        ) from None
-    if not all(type(v) is int for v in ints) or len(ck["bit_tally"]) != len(config.sieve_primes):
-        raise CheckpointMismatch(f"checkpoint {path} holds a field of the wrong type or length")
-    return ck
-
-
 def run_sieve(
     config: SieveConfig,
     workers: int = 1,
@@ -768,16 +791,17 @@ def run_sieve(
     O(sqrt|S| log|S|) time for the |S| survivors mod 4*P1*P2, however large
     the limit.  The stream's count of valid candidates is checked against it.
 
-    The run's state is one record, which is also the checkpoint: config
-    hash, outer_index, stream_valid, words_processed, bit_tally and stream
-    survivors.  A fresh run starts from the empty record; resume starts from
-    the one in checkpoint_path, and raises CheckpointMismatch when that is
+    The run's state is the returned SieveOutcome, whose save writes the
+    checkpoint: config hash, outer_index, stream_valid, words_processed,
+    bit_tally and stream survivors.  resume folds the one in checkpoint_path
+    into the empty record, and raises CheckpointMismatch when that is
     missing, unreadable, of an older format, for another config or ends no
-    chunk.  Each outer chunk is folded into the record, which then replaces
-    the checkpoint file atomically, so a crash at any instant leaves a file
-    that resumes cleanly.  max_chunks stops after that many chunks (at least
-    1, and only with a checkpoint_path, else ValueError); the partial outcome
-    is flagged completed=False and skips the completion cross-checks.
+    chunk.  Each outer chunk is folded in, and the record then replaces the
+    checkpoint file atomically, so a crash at any instant leaves a file that
+    resumes cleanly; the stream is sorted after the last save.  max_chunks
+    stops after that many chunks (at least 1, and only with a
+    checkpoint_path, else ValueError); the partial outcome is flagged
+    completed=False and skips the completion cross-checks.
     """
     if config.limit >= config.coverage:
         raise ValueError(
@@ -792,77 +816,50 @@ def run_sieve(
 
     runner = _Runner(config) if config.limit >= config.small_cutoff else None
     chunks = _chunk_spans(runner.n_outer, runner.n_inner) if runner else []
-
+    outcome = SieveOutcome(direct, [], int(direct.size) + valid_total,
+                           {**p_tallies, **dict.fromkeys(config.sieve_primes, 0)}, config,
+                           kernel=runner.kernel if runner else None,
+                           simd=runner.simd if runner else None)
     if resume:
-        state = _read_checkpoint(checkpoint_path, config)
-        if state["outer_index"] not in [hi for _, hi in chunks]:
-            raise CheckpointMismatch(f"checkpoint outer_index {state['outer_index']} ends no chunk")
-    else:
-        state = dict(config_hash=config.config_hash(), outer_index=0, stream_valid=0,
-                     words_processed=0, bit_tally=[0] * len(config.sieve_primes), survivors=[])
+        outcome.resume(checkpoint_path, [hi for _, hi in chunks])
 
-    pending = [span for span in chunks if span[0] >= state["outer_index"]]
+    pending = [span for span in chunks if span[0] >= outcome.outer_index]
     todo = pending[:max_chunks]
     # the progress rate counts this run's words, not the resumed ones
-    first_chunk, first_words = len(chunks) - len(pending) + 1, state["words_processed"]
+    first_chunk, first_words = len(chunks) - len(pending) + 1, outcome.words_processed
     if progress and todo:
         simd = f", SIMD {runner.simd}" if runner.simd else ""
         print(f"[sieve] stream kernel {runner.kernel}{simd}", file=sys.stderr)
     started = time.perf_counter()
     with _chunk_results(runner, todo, workers) as results:
-        for n, (span, (surv, tally, sv, wd)) in enumerate(zip(todo, results), first_chunk):
-            state["outer_index"] = span[1]
-            state["stream_valid"] += sv
-            state["words_processed"] += wd
-            state["bit_tally"] = (tally + state["bit_tally"]).tolist()
-            state["survivors"].extend(surv)
+        for n, (span, result) in enumerate(zip(todo, results), first_chunk):
+            outcome.fold(span[1], *result)
             if checkpoint_path:
-                _write_checkpoint(checkpoint_path, state)
+                outcome.save(checkpoint_path)
             if progress:
                 elapsed = time.perf_counter() - started
-                rate = (state["words_processed"] - first_words) / elapsed if elapsed > 0 else math.inf
+                rate = (outcome.words_processed - first_words) / elapsed if elapsed > 0 else math.inf
                 eta = round((runner.n_outer - span[1]) * runner.n_inner / rate)
                 print(
                     f"[sieve] chunk {n}/{len(chunks)} (outer {span[1]}/{runner.n_outer}), "
-                    f"stream survivors so far: {len(state['survivors'])}, "
+                    f"stream survivors so far: {len(outcome.stream)}, "
                     f"{rate:.3g} words/s ({runner.kernel} kernel), "
                     f"ETA {datetime.timedelta(seconds=eta)}",
                     file=sys.stderr,
                 )
-    completed = len(todo) == len(pending)
+    outcome.stream.sort()
+    outcome.completed = len(todo) == len(pending)
 
-    tally = {p: int(c) for p, c in p_tallies.items()}
-    tally.update(zip(config.sieve_primes, state["bit_tally"]))
-    eliminated = sum(tally.values())
-    tested = int(direct.size) + valid_total
-    outcome = SieveOutcome(
-        direct=direct,
-        stream=sorted(state["survivors"]),
-        eliminated_count=eliminated,
-        tested_count=tested,
-        per_prime_tally=tally,
-        config=config,
-        completed=completed,
-        words_processed=state["words_processed"],
-        stream_valid=state["stream_valid"],
-        kernel=runner.kernel if runner else None,
-        simd=runner.simd if runner else None,
-    )
-
-    if completed:
-        if state["stream_valid"] != alive_total:
-            raise InternalCheckError(
-                f"stream covered {state['stream_valid']} valid candidates, P-stage count expected {alive_total}"
-            )
+    if outcome.completed:
+        tested, eliminated = outcome.tested_count, outcome.eliminated_count
+        if outcome.stream_valid != alive_total:
+            raise InternalCheckError(f"stream covered {outcome.stream_valid} valid candidates, "
+                                     f"P-stage count expected {alive_total}")
         if tested != outcome.survivor_count + eliminated:
-            raise InternalCheckError(
-                f"partition broken: tested {tested} != survivors {outcome.survivor_count} "
-                f"+ eliminated {eliminated}"
-            )
+            raise InternalCheckError(f"partition broken: tested {tested} != survivors "
+                                     f"{outcome.survivor_count} + eliminated {eliminated}")
         if tested != count_valid(config.limit):
-            raise InternalCheckError(
-                f"tested {tested} != closed-form count {count_valid(config.limit)}"
-            )
+            raise InternalCheckError(f"tested {tested} != closed-form count {count_valid(config.limit)}")
     return outcome
 
 

@@ -47,3 +47,32 @@ def compiled_kernels(stream_kernels):
     if not stream_kernels:
         pytest.skip("the compiled stream kernel cannot be built here")
     return stream_kernels
+
+
+@pytest.fixture
+def break_one_chunk(monkeypatch):
+    """break_one_chunk(fault) patches _Runner.process_range so that the first
+    chunk with a stream survivor drops one ("survivor"), or the first chunk
+    reports one valid bit fewer ("valid"); it returns the list of the spans
+    broken, which fills as the run goes."""
+    from onegenus import sieve
+
+    process_range = sieve._Runner.process_range
+
+    def patch(fault: str) -> list:
+        broken = []
+
+        def faulty(self, *span):
+            survivors, tally, valid, words = process_range(self, *span)
+            if not broken and (fault == "valid" or survivors):
+                broken.append(span)
+                if fault == "survivor":
+                    survivors = survivors[1:]
+                else:
+                    valid -= 1
+            return survivors, tally, valid, words
+
+        monkeypatch.setattr(sieve._Runner, "process_range", faulty)
+        return broken
+
+    return patch

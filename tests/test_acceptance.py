@@ -91,7 +91,7 @@ def test_criterion_3_soundness_replay(pipeline_outcome):
             continue
         p = next(p for p in primes if luts[p][n % p])
         assert 4 * p * p < n
-        w = sieve.witness_form(-n, p)
+        w = forms.witness_form(-n, p)
         assert w.reduced_nonambiguous
         f = w.form
         assert f.discriminant() == -n and f.is_reduced() and not f.is_ambiguous()

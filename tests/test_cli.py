@@ -178,7 +178,7 @@ class TestIntegerOptions:
 
         def stop(config, **kwargs):
             seen.append(config)
-            return SieveOutcome(np.empty(0, dtype=np.int64), [], 0, 0, {}, config, completed=False)
+            return SieveOutcome(np.empty(0, dtype=np.int64), [], 0, {}, config, completed=False)
 
         monkeypatch.setattr(climod.sieve, "run_sieve", stop)
         assert climod.main(["sieve", "--limit", "1.2345678901234567e18"]) == 0
@@ -378,6 +378,20 @@ class TestSieveCli:
         assert code == 2
         assert "checkpoint mismatch" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("fault, message", [
+        ("survivor", "partition broken"), ("valid", "stream covered"),
+    ])
+    def test_failed_completion_check_exits_3_without_output(self, break_one_chunk, capsys,
+                                                            tmp_path, fault, message):
+        from onegenus import cli as climod
+
+        broken = break_one_chunk(fault)
+        out = tmp_path / "surv.csv"
+        assert climod.main([*SIEVE_ARGS, "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert "internal verification failure" in err and message in err
+        assert len(broken) == 1 and list(tmp_path.iterdir()) == []
+
     def test_limit_at_coverage_is_usage_error(self, cli):
         # 32*P1*P2 = 36960 lies just past the last candidate the stream covers
         code, _, err = cli(
@@ -422,7 +436,7 @@ class TestSieveCli:
 
         def stop(config, workers, **kwargs):
             seen.append(workers)
-            return SieveOutcome(np.empty(0, dtype=np.int64), [], 0, 0, {}, config, completed=False)
+            return SieveOutcome(np.empty(0, dtype=np.int64), [], 0, {}, config, completed=False)
 
         monkeypatch.setattr(climod.sieve, "run_sieve", stop)
         monkeypatch.setenv(climod.THREADS_ENV, "3")

@@ -1,5 +1,6 @@
 """Source hygiene that no installed linter checks: every module-level import
-in src/ and tests/ is used by the file that makes it."""
+in src/ and tests/ is used by the file that makes it, and every public
+module-level name of src/ that src/ itself never reads is on a known list."""
 import ast
 from pathlib import Path
 
@@ -56,3 +57,45 @@ def test_no_unused_module_level_import():
     found = [hit for p in FILES if p.name != "__init__.py"
              for hit in unused_imports(p.read_text(), str(p.relative_to(ROOT)))]
     assert found == []
+
+
+# Public module-level names of src/ that no src/ module reads, each with why
+# it stays; a name that only tests read does not belong in src/.
+UNREAD_IN_SRC = {
+    "ambiguous_census": "perfbench traces it and its self-test calls it",
+    "benchmark_stream": "perfbench's stream-dense workload times it",
+    "ocpg_values": "perfbench's hunt workload settles the pass-through range with it",
+    "qr_prefilter": "perfbench/checks.py replays eliminations through it",
+    "reduce_form": "library API: onegenus exports it",
+}
+
+
+def _defined(tree: ast.Module) -> set[str]:
+    """Public names that def, class and plain assignments bind in the module body."""
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names.update(t.id for t in targets if isinstance(t, ast.Name))
+    return {n for n in names if not n.startswith("_")}
+
+
+def _read(tree: ast.Module) -> set[str]:
+    """Names the module loads, bare or as an attribute; an import alone reads nothing."""
+    return ({n.id for n in ast.walk(tree) if isinstance(n, ast.Name) and not isinstance(n.ctx, ast.Store)}
+            | {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)})
+
+
+def test_scan_finds_an_unread_public_name():
+    tree = ast.parse("from .x import Unused\nLIMIT = 3\n_private = 1\ndef helper():\n"
+                     "    return LIMIT\nprint(helper)\nclass Unused:\n    pass\n")
+    assert _defined(tree) - _read(tree) == {"Unused"}
+
+
+def test_public_names_unread_in_src_are_known():
+    trees = [ast.parse(p.read_text()) for p in FILES if p.is_relative_to(ROOT / "src")]
+    defined = set().union(*map(_defined, trees))
+    read = set().union(*map(_read, trees))
+    assert defined - read == UNREAD_IN_SRC.keys()

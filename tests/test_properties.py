@@ -17,8 +17,8 @@ from sympy.solvers.diophantine.diophantine import diop_DN
 from onegenus import analytic, sieve, survivors
 from onegenus.analytic import choose_k
 from onegenus.arith import is_prime, is_squarefree, kronecker, primes_up_to
-from onegenus.forms import QuadForm, class_number, enumerate_reduced, is_fundamental, reduce_form
-from onegenus.sieve import SieveConfig, survivors_mod, witness_form
+from onegenus.forms import QuadForm, class_number, enumerate_reduced, is_fundamental, reduce_form, witness_form
+from onegenus.sieve import SieveConfig, survivors_mod
 
 PROPERTY = settings(derandomize=True, deadline=None, database=None, max_examples=150)
 

@@ -21,7 +21,8 @@ from hypothesis import strategies as st
 from onegenus import sieve
 from onegenus.arith import primes_up_to
 from onegenus.errors import CheckpointMismatch, InternalCheckError
-from onegenus.sieve import SieveConfig, eliminated_residues, run_sieve, survivors_mod, witness_form
+from onegenus.forms import witness_form
+from onegenus.sieve import SieveConfig, eliminated_residues, run_sieve, survivors_mod
 
 # small full-coverage config used throughout: every prime's 4p^2 sits below
 # the cutoff, so eliminations in [2200, 30000] are certified
@@ -443,6 +444,51 @@ class TestCheckpoint:
         run_sieve(SieveConfig(**params), checkpoint_path=str(ck), max_chunks=chunks)
         assert hashlib.sha256(ck.read_bytes()).hexdigest() == digest
 
+    def test_partial_outcome_matches_its_checkpoint(self, tmp_path):
+        config = SieveConfig(**PIPELINE)
+        ck = tmp_path / "ck.json"
+        partial = run_sieve(config, checkpoint_path=str(ck), max_chunks=5)
+        data = json.loads(ck.read_text())
+        assert not partial.completed and 0 < partial.outer_index == data["outer_index"]
+        assert partial.stream_valid == data["stream_valid"]
+        assert partial.words_processed == data["words_processed"]
+        assert [partial.per_prime_tally[q] for q in config.sieve_primes] == data["bit_tally"]
+        assert partial.stream == sorted(data["survivors"]) and partial.stream
+        whole = run_sieve(config)
+        assert whole.outer_index == sieve._Runner(config).n_outer
+        for out in (partial, whole):
+            assert out.eliminated_count == sum(out.per_prime_tally.values())
+
+    def test_resume_from_a_finished_run_runs_no_chunk(self, monkeypatch, tmp_path):
+        config = SieveConfig(**PIPELINE)
+        ck = str(tmp_path / "ck.json")
+        whole = run_sieve(config, checkpoint_path=ck)
+        assert json.loads(open(ck).read())["outer_index"] == sieve._Runner(config).n_outer
+
+        def no_chunk(self, *span):
+            raise AssertionError(f"resume ran the chunk {span}")
+
+        monkeypatch.setattr(sieve._Runner, "process_range", no_chunk)
+        resumed = run_sieve(config, checkpoint_path=ck, resume=True)
+        assert resumed.completed
+        _same_outcome(resumed, whole)
+        csvs = [io.BytesIO(), io.BytesIO()]
+        sieve.write_survivor_csv(whole, csvs[0])
+        sieve.write_survivor_csv(resumed, csvs[1])
+        assert csvs[0].getvalue() == csvs[1].getvalue()
+
+
+class TestCompletionChecks:
+    @pytest.mark.parametrize("fault, message", [
+        ("survivor", "partition broken"), ("valid", "stream covered"),
+    ])
+    @pytest.mark.parametrize("params", [SMALL, PIPELINE], ids=["small", "pipeline"])
+    def test_a_broken_chunk_fails_the_run(self, break_one_chunk, params, fault, message):
+        broken = break_one_chunk(fault)
+        with pytest.raises(InternalCheckError, match=message):
+            run_sieve(SieveConfig(**params))
+        assert len(broken) == 1
+
 
 class _Crash(Exception):
     pass
@@ -828,7 +874,7 @@ class TestSurvivorCsv:
         stream = runner._process_range_numpy(top - 1, top, (0, 2048))[0]
         assert max(stream) > 2**63
         direct = np.array([n for n in range(10**7 - 2000, 10**7) if n % 4 in (0, 3)])
-        out = sieve.SieveOutcome(direct, sorted(stream), 0, 0, {}, config)
+        out = sieve.SieveOutcome(direct, sorted(stream), 0, {}, config)
         assert _csv_bytes(out) == _oracle_csv(out)
 
 

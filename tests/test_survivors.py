@@ -243,7 +243,7 @@ class TestPrimitiveCounts:
 class TestQrPrefilter:
     def test_hit_certifies_when_prime_small_enough(self):
         from onegenus.arith import kronecker
-        from onegenus.sieve import witness_form
+        from onegenus.forms import witness_form
 
         primes = [1013, 1019, 1021, 1031, 1033]
         rng = random.Random(21)
@@ -272,7 +272,7 @@ class TestQrPrefilter:
     def test_non_certifying_hit_is_flagged(self):
         # -5460 is a QR mod 37 but 4*37^2 = 5476 > 5460: the witness is the
         # ambiguous shape (37, 4, 37) and must carry the k <= p flag
-        from onegenus.sieve import witness_form
+        from onegenus.forms import witness_form
 
         assert survivors.qr_prefilter(-5460, [37]) == 37
         w = witness_form(-5460, 37)
