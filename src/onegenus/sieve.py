@@ -66,6 +66,11 @@ through as a survivor for direct checking.
 
 A run keeps one record, the SieveOutcome it returns, folded chunk by chunk
 and saved as its checkpoint, so that the checkpoint and the result agree.
+A save is due once _SAVE_WORDS words have been folded since the last one,
+and after the last chunk a call runs: every chunk at paper scale, where a
+chunk holds 7 outer residues of ~6*10^8 words, but once per run on small
+configurations, where rewriting the record after each chunk would cost
+more than sieving it.
 """
 from __future__ import annotations
 
@@ -75,7 +80,6 @@ import functools
 import hashlib
 import json
 import math
-import multiprocessing
 import os
 import sys
 import time
@@ -92,8 +96,9 @@ WORD_WIDTH = 32
 DEFAULT_P1 = (3, 5, 7, 11, 13, 17, 19)
 DEFAULT_P2 = (23, 29, 31, 37, 41, 43, 47)
 
-_N_CHUNKS = 64            # at most this many outer-loop chunks (checkpoints)
+_N_CHUNKS = 64            # at most this many outer-loop chunks
 _CHUNK_WORDS = 1 << 32    # and at most this many words each, unless one outer residue holds more
+_SAVE_WORDS = 1 << 28     # save the run record once this many words are folded since the last save
 _BLOCK = 1 << 16          # words per vectorized pass: its int64 arrays stay in L2
 _CADENCE = 8              # sieve primes between compactions of the alive words
 _FIRST_MAX = 8            # at most this many first-window primes: FIRST_MAX in _stream.c
@@ -283,7 +288,9 @@ class SieveOutcome:
             self.per_prime_tally[q] += count
 
     def save(self, path: str) -> None:
-        """Write the checkpoint to path through path.tmp, which is removed if the write fails."""
+        """Write the checkpoint to path through path.tmp, which is removed if the
+        write fails; the file, then its directory, are synced, so that a saved
+        record survives a power loss."""
         data = dict(config_hash=self._config_hash, outer_index=self.outer_index,
                     stream_valid=self.stream_valid, words_processed=self.words_processed,
                     bit_tally=[self.per_prime_tally[q] for q in self.config.sieve_primes],
@@ -293,11 +300,18 @@ class SieveOutcome:
             with open(tmp, "w") as fh:
                 json.dump(data, fh, sort_keys=True, indent=1)
                 fh.write("\n")
+                fh.flush()
+                os.fsync(fh.fileno())
             os.replace(tmp, path)
         except BaseException:
             with contextlib.suppress(FileNotFoundError):
                 os.unlink(tmp)
             raise
+        folder = os.open(os.path.dirname(path) or ".", os.O_RDONLY)
+        try:
+            os.fsync(folder)  # the rename itself
+        finally:
+            os.close(folder)
 
     def resume(self, path: str | None, chunk_ends) -> None:
         """Fold in the checkpoint at path; CheckpointMismatch when it is missing
@@ -752,16 +766,20 @@ def _chunk_results(runner: _Runner, spans: list[tuple[int, int]], workers: int):
     there are several workers and spans, else in this process.  Used in a
     with statement, the pool is gone and _WORKER_RUNNER reset on every exit."""
     global _WORKER_RUNNER
-    # workers inherit the runner by fork; without fork, run sequentially
-    if workers < 2 or len(spans) < 2 or "fork" not in multiprocessing.get_all_start_methods():
-        yield (runner.process_range(*span) for span in spans)
-        return
-    _WORKER_RUNNER = runner
-    try:
-        with multiprocessing.get_context("fork").Pool(processes=workers) as pool:
-            yield pool.imap(_worker_task, spans)
-    finally:
-        _WORKER_RUNNER = None
+    if workers >= 2 and len(spans) >= 2:
+        # imported here, so that only a run that starts a pool pays for it
+        import multiprocessing
+
+        # workers inherit the runner by fork; without fork, run sequentially
+        if "fork" in multiprocessing.get_all_start_methods():
+            _WORKER_RUNNER = runner
+            try:
+                with multiprocessing.get_context("fork").Pool(processes=workers) as pool:
+                    yield pool.imap(_worker_task, spans)
+            finally:
+                _WORKER_RUNNER = None
+            return
+    yield (runner.process_range(*span) for span in spans)
 
 
 def _chunk_spans(n_outer: int, n_inner: int) -> list[tuple[int, int]]:
@@ -796,11 +814,13 @@ def run_sieve(
     bit_tally and stream survivors.  resume folds the one in checkpoint_path
     into the empty record, and raises CheckpointMismatch when that is
     missing, unreadable, of an older format, for another config or ends no
-    chunk.  Each outer chunk is folded in, and the record then replaces the
-    checkpoint file atomically, so a crash at any instant leaves a file that
-    resumes cleanly; the stream is sorted after the last save.  max_chunks
-    stops after that many chunks (at least 1, and only with a
-    checkpoint_path, else ValueError); the partial outcome is flagged
+    chunk.  Each outer chunk is folded in, and the record replaces the
+    checkpoint file atomically once _SAVE_WORDS words have been folded since
+    the last save or the resume, and after the last chunk this call runs, so
+    a crash at any instant leaves a file that resumes cleanly and loses at
+    most _SAVE_WORDS words of work; the stream is sorted after the last
+    save.  max_chunks stops after that many chunks (at least 1, and only
+    with a checkpoint_path, else ValueError); the partial outcome is flagged
     completed=False and skips the completion cross-checks.
     """
     if config.limit >= config.coverage:
@@ -827,6 +847,7 @@ def run_sieve(
     todo = pending[:max_chunks]
     # the progress rate counts this run's words, not the resumed ones
     first_chunk, first_words = len(chunks) - len(pending) + 1, outcome.words_processed
+    saved_words = first_words
     if progress and todo:
         simd = f", SIMD {runner.simd}" if runner.simd else ""
         print(f"[sieve] stream kernel {runner.kernel}{simd}", file=sys.stderr)
@@ -834,8 +855,10 @@ def run_sieve(
     with _chunk_results(runner, todo, workers) as results:
         for n, (span, result) in enumerate(zip(todo, results), first_chunk):
             outcome.fold(span[1], *result)
-            if checkpoint_path:
+            if checkpoint_path and (outcome.words_processed - saved_words >= _SAVE_WORDS
+                                    or span is todo[-1]):
                 outcome.save(checkpoint_path)
+                saved_words = outcome.words_processed
             if progress:
                 elapsed = time.perf_counter() - started
                 rate = (outcome.words_processed - first_words) / elapsed if elapsed > 0 else math.inf

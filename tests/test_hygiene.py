@@ -1,7 +1,10 @@
 """Source hygiene that no installed linter checks: every module-level import
-in src/ and tests/ is used by the file that makes it, and every public
-module-level name of src/ that src/ itself never reads is on a known list."""
+in src/ and tests/ is used by the file that makes it, every public
+module-level name of src/ that src/ itself never reads is on a known list,
+and importing the CLI loads no module that only a worker pool needs."""
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -99,3 +102,12 @@ def test_public_names_unread_in_src_are_known():
     defined = set().union(*map(_defined, trees))
     read = set().union(*map(_read, trees))
     assert defined - read == UNREAD_IN_SRC.keys()
+
+
+def test_cli_import_leaves_out_multiprocessing():
+    # once numpy is loaded, multiprocessing costs every importer ~5 ms, and
+    # only a sieve run that starts a worker pool uses it
+    probe = "import sys, onegenus.cli; print('multiprocessing' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          check=True, timeout=60)
+    assert proc.stdout.strip() == "False"

@@ -7,6 +7,7 @@ import platform
 import random
 import re
 import shutil
+import stat
 import subprocess
 import sys
 import tempfile
@@ -51,6 +52,15 @@ CRITERION8 = dict(
     sieve_primes=tuple(p for p in sieve.default_sieve_primes() if p >= 53),
     limit=10**10,
     small_cutoff=10**7,
+)
+
+# the perfbench sieve-scaled arguments: 144 outer x 630 inner words, 48 chunks
+SCALED = dict(
+    p1_primes=(3, 5, 7, 11),
+    p2_primes=(13, 17, 19),
+    sieve_primes=tuple(p for p in primes_up_to(199) if p >= 23),
+    limit=3 * 10**6,
+    small_cutoff=2 * 10**5,
 )
 
 
@@ -394,6 +404,7 @@ class TestCheckpoint:
     def test_crash_at_any_checkpoint_write_resumes(self, monkeypatch, tmp_path, params):
         # a crash inside the k-th checkpoint write, before the file is
         # replaced, must leave a checkpoint that resumes to the same outcome
+        monkeypatch.setattr(sieve, "_SAVE_WORDS", 1)  # a save after every chunk
         whole = run_sieve(SieveConfig(**params))
         runner = sieve._Runner(SieveConfig(**params))
         n_chunks = len(sieve._chunk_spans(runner.n_outer, runner.n_inner))
@@ -420,6 +431,7 @@ class TestCheckpoint:
             _same_outcome(resumed, whole)
 
     def test_pool_torn_down_when_a_checkpoint_write_fails(self, monkeypatch, tmp_path):
+        monkeypatch.setattr(sieve, "_SAVE_WORDS", 1)  # a save after every chunk
         replace = os.replace
         calls = []
 
@@ -476,6 +488,130 @@ class TestCheckpoint:
         sieve.write_survivor_csv(whole, csvs[0])
         sieve.write_survivor_csv(resumed, csvs[1])
         assert csvs[0].getvalue() == csvs[1].getvalue()
+
+
+def _record_saves(monkeypatch) -> list[int]:
+    """The outer_index of each checkpoint that run_sieve saves from now on, in order."""
+    replace, saved = os.replace, []
+
+    def record(src, dst):
+        saved.append(json.loads(Path(src).read_text())["outer_index"])
+        replace(src, dst)
+
+    monkeypatch.setattr(sieve.os, "replace", record)
+    return saved
+
+
+class TestSaveCadence:
+    @pytest.mark.parametrize("params", [SMALL, PIPELINE, SCALED],
+                             ids=["small", "pipeline", "sieve-scaled"])
+    def test_one_save_per_small_run(self, monkeypatch, tmp_path, params):
+        config = SieveConfig(**params)
+        runner = sieve._Runner(config)
+        n_chunks = len(sieve._chunk_spans(runner.n_outer, runner.n_inner))
+        assert n_chunks > 1 and runner.n_outer * runner.n_inner < sieve._SAVE_WORDS
+        saved = _record_saves(monkeypatch)
+        ck = tmp_path / "ck.json"
+        run_sieve(config, checkpoint_path=str(ck))
+        assert saved == [runner.n_outer]
+        # the one save writes what a save after every chunk leaves last
+        monkeypatch.setattr(sieve, "_SAVE_WORDS", 1)
+        every = tmp_path / "every.json"
+        run_sieve(config, checkpoint_path=str(every))
+        assert len(saved) == 1 + n_chunks
+        assert ck.read_bytes() == every.read_bytes()
+
+    @pytest.mark.parametrize("j", [1, 2, 5, 24, 30])
+    @pytest.mark.parametrize("stop", [None, 4], ids=["whole", "stop-resume"])
+    def test_a_budget_of_j_chunks(self, monkeypatch, tmp_path, j, stop):
+        # the budget counts the words since the last save or the resume, and
+        # the last chunk a call runs is always saved
+        config = SieveConfig(**PIPELINE)
+        runner = sieve._Runner(config)
+        ends = [hi for _, hi in sieve._chunk_spans(runner.n_outer, runner.n_inner)]
+        assert ends == list(range(1, 25))  # 24 chunks of one outer residue
+        monkeypatch.setattr(sieve, "_SAVE_WORDS", j * runner.n_inner)
+        saved = _record_saves(monkeypatch)
+        ck = str(tmp_path / "ck.json")
+        if stop is None:
+            run_sieve(config, checkpoint_path=ck)
+            assert saved == sorted({*ends[j - 1::j], 24})
+            return
+        assert not run_sieve(config, checkpoint_path=ck, max_chunks=stop).completed
+        assert saved == sorted({*ends[j - 1:stop:j], stop})
+        saved.clear()
+        assert run_sieve(config, checkpoint_path=ck, resume=True).completed
+        assert saved == sorted({*ends[stop + j - 1::j], 24})
+
+    def test_crash_between_saves_resumes_from_the_last(self, monkeypatch, tmp_path):
+        config = SieveConfig(**PIPELINE)
+        whole = run_sieve(config)
+        runner = sieve._Runner(config)
+        spans = sieve._chunk_spans(runner.n_outer, runner.n_inner)
+        monkeypatch.setattr(sieve, "_SAVE_WORDS", 3 * runner.n_inner)  # after chunks 3, 6, ...
+        process_range, ran = sieve._Runner.process_range, []
+
+        def crash_in_fifth(self, *span):
+            ran.append(span)
+            if len(ran) == 5:
+                raise _Crash
+            return process_range(self, *span)
+
+        ck = tmp_path / "ck.json"
+        with monkeypatch.context() as patch, pytest.raises(_Crash):
+            patch.setattr(sieve._Runner, "process_range", crash_in_fifth)
+            run_sieve(config, checkpoint_path=str(ck))
+        assert json.loads(ck.read_text())["outer_index"] == spans[2][1]
+
+        def record(self, *span):
+            ran.append(span)
+            return process_range(self, *span)
+
+        ran.clear()
+        monkeypatch.setattr(sieve._Runner, "process_range", record)
+        resumed = run_sieve(config, checkpoint_path=str(ck), resume=True)
+        assert ran == spans[3:]
+        assert resumed.completed
+        _same_outcome(resumed, whole)
+
+    def test_every_paper_scale_chunk_is_saved(self):
+        # each chunk of the default products holds at least _SAVE_WORDS
+        # words, so the paper-scale run saves after every one
+        n_outer = math.prod((p + 1) // 2 for p in sieve.DEFAULT_P1)
+        n_inner = math.prod((p + 1) // 2 for p in sieve.DEFAULT_P2)
+        spans = sieve._chunk_spans(n_outer, n_inner)
+        assert len(spans) == 12960
+        assert min((hi - lo) * n_inner for lo, hi in spans) >= sieve._SAVE_WORDS
+
+    def test_save_syncs_the_file_then_renames_then_syncs_the_directory(self, monkeypatch,
+                                                                       tmp_path):
+        fsync, replace, calls = os.fsync, os.replace, []
+
+        def record_fsync(fd):
+            st = os.fstat(fd)
+            calls.append(("directory fsync",) if stat.S_ISDIR(st.st_mode)
+                         else ("file fsync", st.st_size))
+            fsync(fd)
+
+        def record_replace(src, dst):
+            calls.append(("replace",))
+            replace(src, dst)
+
+        monkeypatch.setattr(sieve.os, "fsync", record_fsync)
+        monkeypatch.setattr(sieve.os, "replace", record_replace)
+        ck = tmp_path / "ck.json"
+        run_sieve(SieveConfig(**SMALL), checkpoint_path=str(ck))
+        # the file is synced whole
+        assert calls == [("file fsync", ck.stat().st_size), ("replace",), ("directory fsync",)]
+
+    def test_a_failed_sync_leaves_no_tmp(self, monkeypatch, tmp_path):
+        def fail(fd):
+            raise OSError("I/O error")
+
+        monkeypatch.setattr(sieve.os, "fsync", fail)
+        with pytest.raises(OSError, match="I/O error"):
+            run_sieve(SieveConfig(**SMALL), checkpoint_path=str(tmp_path / "ck.json"))
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestCompletionChecks:
