@@ -19,7 +19,7 @@ from .forms import (
 from .sieve import SieveConfig, SieveOutcome, run_sieve
 from .survivors import full_check, idoneal_scan
 from .analytic import AuxiliaryK, choose_k, fundamental_unit, verify_identity
-from .bounds import WaldschmidtParams, bound_report, theorem_threshold
+from .bounds import bound_report, theorem_threshold, waldschmidt_exponent
 
 __version__ = "0.1.0"
 
@@ -29,7 +29,6 @@ __all__ = [
     "QuadForm",
     "SieveConfig",
     "SieveOutcome",
-    "WaldschmidtParams",
     "bound_report",
     "choose_k",
     "class_number",
@@ -43,5 +42,6 @@ __all__ = [
     "run_sieve",
     "theorem_threshold",
     "verify_identity",
+    "waldschmidt_exponent",
     "witness_form",
 ]

@@ -58,7 +58,6 @@ class AuxiliaryK:
 
     q1: int
     q2: int
-    k: int
 
     def __post_init__(self):
         for q in (self.q1, self.q2):
@@ -66,10 +65,12 @@ class AuxiliaryK:
                 raise ValueError(f"q1 and q2 must be odd primes, got {q}")
         if self.q1 >= self.q2:
             raise ValueError("q1 < q2 required")
-        if self.k != self.q1 * self.q2:
-            raise ValueError("k must equal q1*q2")
         if self.k % 4 != 1:
             raise ValueError("k must be 1 mod 4")
+
+    @property
+    def k(self) -> int:
+        return self.q1 * self.q2
 
 
 def choose_k(d: int) -> AuxiliaryK:
@@ -80,7 +81,7 @@ def choose_k(d: int) -> AuxiliaryK:
     for i in range(3):
         for j in range(i + 1, 3):
             if cands[i] % 4 == cands[j] % 4:
-                return AuxiliaryK(cands[i], cands[j], cands[i] * cands[j])
+                return AuxiliaryK(cands[i], cands[j])
     raise InternalCheckError("three residues mod 4 without a matching pair")
 
 

@@ -107,67 +107,31 @@ D0 = D1 = D2 = 2
 FIELD_DEGREE = 8
 
 
-@dataclass(frozen=True)
-class WaldschmidtParams:
-    """Inputs to the two-logarithm lower bound.
+def waldschmidt_exponent(d: int) -> mpf:
+    """Exponent E with |Lambda| > exp(-E) for Lambda = beta log(eps) - log(i)
+    at |d| (needs |d| >= 16).
 
     A1, A2 bound each logarithm argument's height and exp|log|, and B bounds
-    the coefficient height.  Derived, with the degrees D0, D1, D2 and
-    D = FIELD_DEGREE: S0 = D0 + log B, Sj = Dj + log Aj and
-    T = 4 + S0/D0 + log(D^2 (S1/D1)(S2/D2)).
+    the coefficient height: log A1 = the regulator bound, A2 = 1 and B = the
+    beta height bound.  With the degrees D0, D1, D2 and D = FIELD_DEGREE:
+    S0 = D0 + log B, Sj = Dj + log Aj, T = 4 + S0/D0 + log(D^2 (S1/D1)(S2/D2))
+    and E = 5*10^8 D^4 (S1/D1)(S2/D2) T^2.
     """
-
-    log_a1: mpf
-    log_a2: mpf
-    log_b: mpf
-
-    @property
-    def s0(self) -> mpf:
-        return D0 + self.log_b
-
-    @property
-    def s1(self) -> mpf:
-        return D1 + self.log_a1
-
-    @property
-    def s2(self) -> mpf:
-        return D2 + self.log_a2
-
-    @property
-    def t_value(self) -> mpf:
-        with mp.workdps(DEFAULT_DPS):
-            return 4 + self.s0 / D0 + mp.log(FIELD_DEGREE**2 * (self.s1 / D1) * (self.s2 / D2))
-
-    @classmethod
-    def instantiate(cls, d: int) -> "WaldschmidtParams":
-        """Parameters for the linear form beta log(eps) - log(i) at |d|:
-        log A1 = the regulator bound, A2 = 1, B = the beta height bound."""
-        kb = auxiliary_bounds(d)
-        with mp.workdps(DEFAULT_DPS):
-            return cls(
-                log_a1=kb["regulator_bound"],
-                log_a2=mpf(0),
-                log_b=mp.log(beta_height_bound(d)),
-            )
-
-
-def waldschmidt_lower(p: WaldschmidtParams) -> mpf:
-    """Exponent E with |Lambda| > exp(-E): E = 5*10^8 D^4 (S1/D1)(S2/D2) T^2."""
-    if p.s1 <= 0 or p.s2 <= 0:
-        raise ValueError("S1 and S2 must be positive")
+    log_a1 = auxiliary_bounds(d)["regulator_bound"]
+    b = beta_height_bound(d)
     with mp.workdps(DEFAULT_DPS):
-        return (
-            mpf("5e8")
-            * mpf(FIELD_DEGREE) ** 4
-            * (p.s1 / D1)
-            * (p.s2 / D2)
-            * p.t_value**2
-        )
+        s0 = D0 + mp.log(b)
+        s1 = D1 + log_a1
+        s2 = mpf(D2)  # log A2 = 0
+        t = 4 + s0 / D0 + mp.log(FIELD_DEGREE**2 * (s1 / D1) * (s2 / D2))
+        return mpf("5e8") * mpf(FIELD_DEGREE) ** 4 * (s1 / D1) * (s2 / D2) * t**2
 
 
 def paper_exponent(d: int) -> mpf:
     """The simplified exponent 1.2*10^16 (log|d|)^3 log log|d|."""
     n = -d if d < 0 else d
+    if n < 16:
+        raise ValueError(f"|d| >= 16 required, got {n}")
     with mp.workdps(DEFAULT_DPS):
         ln = mp.log(n)
         return mpf("1.2e16") * ln**3 * mp.log(ln)
@@ -285,8 +249,7 @@ def bound_report(d: int, p: int | None = None) -> BoundReport:
     n = -d if d < 0 else d
     kb = auxiliary_bounds(d)  # raises ValueError below |d| = 16
     b_height = beta_height_bound(d)
-    params = WaldschmidtParams.instantiate(d)
-    wl = waldschmidt_lower(params)
+    wl = waldschmidt_exponent(d)
     pe = paper_exponent(d)
     omega_rhs = robin_omega_bound(max(n, 26))
     pn_idx = max(6, int(mp.ceil(omega_rhs)) + 4)

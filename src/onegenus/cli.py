@@ -243,7 +243,7 @@ def _cmd_sieve(args) -> int:
 
 
 def _cmd_check(args) -> int:
-    report = survivors.full_check(_neg_disc(args.d))
+    report = forms.genus_report(_neg_disc(args.d))
     write_report(report.to_json_dict(), args.out)
     return 0
 
@@ -272,7 +272,7 @@ def _cmd_identity(args) -> int:
         fac = sorted(factorize(args.k))
         if len(fac) != 2 or args.k != fac[0] * fac[1]:
             raise ValueError(f"--k must be a product of two distinct odd primes, got {args.k}")
-        aux = analytic.AuxiliaryK(fac[0], fac[1], args.k)
+        aux = analytic.AuxiliaryK(fac[0], fac[1])
     report = analytic.verify_identity(d, aux, dps=args.prec)
     write_report(report.to_json_dict(), args.out)
     return 0

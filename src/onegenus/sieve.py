@@ -611,10 +611,7 @@ class _Runner:
             n_wheel = min(2, len(self.inner_counts))
             while n_wheel and per_group * math.prod(self.inner_counts[:n_wheel]) > _WHEEL_WORDS:
                 n_wheel -= 1
-            wheel = np.zeros(1, dtype=np.int64)
-            for lifts in self.inner_contribs[:n_wheel]:  # the first digit fastest
-                wheel = (wheel + lifts[:, None]).ravel()
-                np.subtract(wheel, m, out=wheel, where=wheel >= m)
+            wheel = self._gen_contrib(0, math.prod(self.inner_counts[:n_wheel]))
             rows = [t[(np.arange(q)[:, None] + wheel % q) % q] for q, t in zip(first, self.tables)]
             higher = self.inner_contribs[n_wheel:]
             counts = np.array(self.inner_counts[n_wheel:], dtype=np.int64)

@@ -191,8 +191,7 @@ def test_criterion_6_explicit_bound_suite():
 
 def test_criterion_7_plugthrough_at_floor():
     d = -(98 * 10**17)
-    params = bounds.WaldschmidtParams.instantiate(d)
-    e = float(bounds.waldschmidt_lower(params))
+    e = float(bounds.waldschmidt_exponent(d))
     # frozen independent high-precision evaluation of the instantiated chain
     with mp.workdps(50):
         ln = mp.log(-d)

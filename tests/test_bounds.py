@@ -7,7 +7,6 @@ from sympy import divisor_sigma
 from onegenus import bounds, forms
 from onegenus.arith import omega
 from onegenus.bounds import (
-    WaldschmidtParams,
     beta_height_bound,
     bound_report,
     final_inequality_check,
@@ -18,7 +17,7 @@ from onegenus.bounds import (
     robin_sigma_bound,
     rosser_pn_bound,
     theorem_threshold,
-    waldschmidt_lower,
+    waldschmidt_exponent,
 )
 
 BIG = -(98 * 10**17)  # |d| = 9.8e18
@@ -98,8 +97,7 @@ class TestBetaHeight:
 
 class TestWaldschmidt:
     def test_paper_instantiation(self):
-        params = WaldschmidtParams.instantiate(BIG)
-        e = waldschmidt_lower(params)
+        e = waldschmidt_exponent(BIG)
         # frozen independent evaluation of the same chain at 50 digits:
         # log A1 = 1.69 log|d| loglog|d|, S1 = 2 + log A1, S2 = 2,
         # T = 4 + (2 + log B)/2 + log(64 * S1/2), E = 5e8 * 4096 * (S1/2) * T^2
@@ -114,23 +112,22 @@ class TestWaldschmidt:
         assert rel_close(e, 1.03e18, 5e-2)
 
     def test_below_simplified_exponent(self):
-        e = waldschmidt_lower(WaldschmidtParams.instantiate(BIG))
+        e = waldschmidt_exponent(BIG)
         pe = paper_exponent(BIG)
         assert rel_close(pe, 3.8e21, 5e-3)
         assert float(e) <= float(pe)
 
-    def test_monotone_in_a1(self):
-        params = WaldschmidtParams.instantiate(BIG)
-        bigger = WaldschmidtParams(
-            log_a1=params.log_a1 + mp.log(2),
-            log_a2=params.log_a2,
-            log_b=params.log_b,
-        )
-        assert float(waldschmidt_lower(bigger)) > float(waldschmidt_lower(params))
+    def test_monotone_in_d(self):
+        vals = [waldschmidt_exponent(-n) for n in (16, 10**3, 10**9, -BIG, 10**30)]
+        assert all(a < b for a, b in zip(vals, vals[1:]))
 
-    def test_rejects_nonpositive_s(self):
-        with pytest.raises(ValueError):
-            waldschmidt_lower(WaldschmidtParams(log_a1=mpf(-10), log_a2=mpf(0), log_b=mpf(1)))
+    def test_domains(self):
+        # paper_exponent(-1) was nan and paper_exponent(-2) negative
+        for d in (-1, -2, -15):
+            with pytest.raises(ValueError, match="16 required"):
+                paper_exponent(d)
+            with pytest.raises(ValueError, match="16 required"):
+                waldschmidt_exponent(d)
 
 
 class TestThreshold:

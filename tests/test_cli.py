@@ -125,6 +125,9 @@ class TestReportBytes:
          "dd145dfa9585279c98b9633a2ac648566aa64bc5fa89450e179d53106976357f"),
         (["identity", "--d", "-20"],
          "36ca74db64d54d27ead70a2c27b481e3e38085e2f1baf5e18930bdf306c0403e"),
+        # the one path where a user's k becomes an AuxiliaryK
+        (["identity", "--d", "-20", "--k", "33", "--prec", "80"],
+         "27171f20c1aedfa095470156584012fe4f3fc64eabd7303bf422867f3b24548e"),
         (["check", "420"],
          "45e4556523040da753219fcf5fc25770345da22c2cfbbc8be822e6fdbcf4cea4"),
         # settled by a prime witness, (3, 1, 35) and (5, 1, 50); the JSON still lists every form
@@ -134,7 +137,7 @@ class TestReportBytes:
          "8052fe8ff0a61d1eb52b0aad93d1e617e600d83b5ce865df9b5487c8574b0907"),
         (["witness", "--d", "-56", "--p", "3"],
          "3ac1466d9491cd6d9147d0ac2d33815030b5c941d41a7f61077f6a16979d9efd"),
-    ], ids=["bounds-floor", "bounds-P", "threshold", "identity", "check",
+    ], ids=["bounds-floor", "bounds-P", "threshold", "identity", "identity-k", "check",
             "check-witnessed-fundamental", "check-witnessed-nonfundamental", "witness"])
     def test_stdout_pinned(self, cli, args, digest):
         code, out, err = cli(*args)

@@ -67,6 +67,7 @@ def test_no_unused_module_level_import():
 UNREAD_IN_SRC = {
     "ambiguous_census": "perfbench traces it and its self-test calls it",
     "benchmark_stream": "perfbench's stream-dense workload times it",
+    "full_check": "perfbench's hunt workload calls and traces genus_report by this name",
     "ocpg_values": "perfbench's hunt workload settles the pass-through range with it",
     "qr_prefilter": "perfbench/checks.py replays eliminations through it",
     "reduce_form": "library API: onegenus exports it",
@@ -102,6 +103,12 @@ def test_public_names_unread_in_src_are_known():
     defined = set().union(*map(_defined, trees))
     read = set().union(*map(_read, trees))
     assert defined - read == UNREAD_IN_SRC.keys()
+
+
+def test_package_all_resolves():
+    import onegenus
+
+    assert [n for n in onegenus.__all__ if not hasattr(onegenus, n)] == []
 
 
 def test_cli_import_leaves_out_multiprocessing():
