@@ -24,8 +24,14 @@ from the outer and inner parts of each word instead of a 64-bit modulo.
 The compiled kernel, _stream.c, runs when it can be built and loaded and
 survivors fit in uint64 (limit < 2^64).  `cc` builds it on first use, in a
 subprocess, into $XDG_CACHE_HOME/onegenus (default ~/.cache/onegenus, else a
-directory under tempfile.gettempdir()), under a name hashed from its source,
-flags and compiler version.  Its first window is a wheel over the two
+directory under tempfile.gettempdir()), under a name hashed from its source
+and flags, which alone fix what it computes, and from the compiler file's
+path, size and mtime, read without starting it.  A new source, new flags or
+a replaced compiler file builds it again; a wrapper such as ccache, whose
+own file stays, keeps the old build, which is still correct.  A process
+that finds the file cached starts no compiler.
+
+The compiled kernel's first window is a wheel over the two
 lowest P2 digits (fewer where the rows would pass _WHEEL_WORDS):
 consecutive inner words run through the group of their lifts, 120 words
 for criterion 8 and 180 at paper scale, with the higher digits fixed, which
@@ -184,9 +190,9 @@ class SieveConfig:
 
 def eliminated_residues(p: int) -> np.ndarray:
     """Boolean lookup over residues mod p; True where p eliminates."""
+    x = np.arange(1, p, dtype=np.int64)
     bad = np.zeros(p, dtype=bool)
-    for x in range(1, p):
-        bad[(-x * x) % p] = True
+    bad[-(x * x) % p] = True
     return bad
 
 
@@ -503,23 +509,33 @@ def _stream_kernel() -> _Kernel | None:
     `cc` compiles it in a subprocess into $XDG_CACHE_HOME/onegenus (default
     ~/.cache/onegenus), or, when that fails, into a directory of this user's
     under tempfile.gettempdir().  The file is named by the sha256 of the
-    source, then that of the flags and `cc --version`, and moved into place
-    with os.replace, so concurrent first runs are safe.  A cached
-    file that does not load is not rebuilt; the next directory is tried.
-    The one file serves every CPU: the kernel picks its SIMD path at run time.
+    source, then that of the flags and the compiler's identity: the real path,
+    size and mtime of the `cc` found on PATH, and the machine.  So only a
+    build starts a process, and a new source, new flags or a replaced compiler
+    file builds again, while a wrapper such as ccache keeps the old file,
+    which is still correct: source and flags alone fix what it computes.  It
+    is moved into place with os.replace, so concurrent first runs are safe.
+    A cached file that does not load is not rebuilt; the next directory is
+    tried.  The one file serves every CPU: the kernel picks its SIMD path at
+    run time.
     """
-    # only a process that sieves pays for these imports and the compiler
-    import subprocess
+    import platform
+    import shutil
     import tempfile
     from importlib import resources
 
+    cc = shutil.which("cc")
+    if cc is None:
+        return None
     source = resources.files("onegenus").joinpath("_stream.c").read_bytes()
     flags = _kernel_flags()
     try:
-        version = subprocess.run(["cc", "--version"], capture_output=True, check=True).stdout
-    except (OSError, subprocess.SubprocessError):
+        real = os.path.realpath(cc)
+        info = os.stat(real)
+    except OSError:
         return None
-    build = hashlib.sha256(" ".join(flags).encode() + b"\0" + version).hexdigest()
+    identity = f"{real}\0{info.st_size}\0{info.st_mtime_ns}\0{platform.machine()}"
+    build = hashlib.sha256(" ".join(flags).encode() + b"\0" + identity.encode()).hexdigest()
     name = f"stream-{hashlib.sha256(source).hexdigest()[:24]}-{build[:16]}.so"
     cache = os.environ.get("XDG_CACHE_HOME") or os.path.join(os.path.expanduser("~"), ".cache")
     for folder in (os.path.join(cache, "onegenus"),
@@ -530,12 +546,17 @@ def _stream_kernel() -> _Kernel | None:
             if os.stat(folder).st_uid != os.getuid():
                 continue  # a shared directory someone else made
             if not os.path.exists(path):
+                # only a build imports subprocess; it runs cc as found on PATH,
+                # not its real path, since a ccache-style link reads argv[0]
+                import subprocess
+
                 tmp = f"{path}.{os.getpid()}.tmp"
-                subprocess.run(["cc", *flags, "-shared", "-fPIC", "-x", "c", "-", "-o", tmp],
-                               input=source, capture_output=True, check=True)
+                if subprocess.run([cc, *flags, "-shared", "-fPIC", "-x", "c", "-", "-o", tmp],
+                                  input=source, capture_output=True).returncode:
+                    continue
                 os.replace(tmp, path)
             return _load_kernel(path)
-        except (OSError, subprocess.SubprocessError, AttributeError):
+        except (OSError, AttributeError):
             continue
     return None
 

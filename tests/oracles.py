@@ -9,6 +9,15 @@ from onegenus.analytic import DEFAULT_DPS, _character_blocks
 from onegenus.survivors import ambiguous_census
 
 
+def eliminated_residues_loop(p: int) -> np.ndarray:
+    """Boolean lookup over residues mod p, True at -x^2 mod p for each
+    x in [1, p), filled one x at a time."""
+    bad = np.zeros(p, dtype=bool)
+    for x in range(1, p):
+        bad[(-x * x) % p] = True
+    return bad
+
+
 def primitive_class_counts(limit: int) -> np.ndarray:
     """Class numbers h(d) of primitive forms for every |d| <= limit.
 

@@ -1,11 +1,15 @@
 """Source hygiene that no installed linter checks: every module-level import
 in src/ and tests/ is used by the file that makes it, every public
 module-level name of src/ that src/ itself never reads is on a known list,
-and importing the CLI loads no module that only a worker pool needs."""
+and a process loads no module that only another leg needs: the CLI import no
+worker pool's, a sieve import no analytic leg's, a run on a cached kernel no
+compiler's."""
 import ast
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 FILES = sorted(p for d in ("src", "tests") for p in (ROOT / d).rglob("*.py"))
@@ -107,14 +111,35 @@ def test_public_names_unread_in_src_are_known():
 
 def test_package_all_resolves():
     import onegenus
+    from onegenus import analytic, bounds, bound_report, verify_identity
 
     assert [n for n in onegenus.__all__ if not hasattr(onegenus, n)] == []
+    assert (verify_identity, bound_report) == (analytic.verify_identity, bounds.bound_report)
 
 
-def test_cli_import_leaves_out_multiprocessing():
-    # once numpy is loaded, multiprocessing costs every importer ~5 ms, and
-    # only a sieve run that starts a worker pool uses it
-    probe = "import sys, onegenus.cli; print('multiprocessing' in sys.modules)"
+# what each probe runs, and a module it must not load: once numpy is loaded,
+# multiprocessing costs every importer ~5 ms and only a worker pool uses it;
+# mpmath only the analytic leg uses; subprocess only a kernel build
+LEAVES_OUT = {
+    "cli": ("import onegenus.cli", "multiprocessing"),
+    "sieve": ("import onegenus.sieve, onegenus.survivors", "mpmath"),
+    "warm-run": ("from onegenus.sieve import SieveConfig, run_sieve\n"
+                 "run_sieve(SieveConfig(p1_primes=(3, 5, 7), p2_primes=(11, 13, 17),\n"
+                 "                      sieve_primes=(19, 23, 29, 31, 37, 41, 43, 47),\n"
+                 "                      limit=10**6, small_cutoff=10**4))", "subprocess"),
+}
+
+
+@pytest.mark.parametrize("case", LEAVES_OUT)
+def test_leaves_out_module(case, monkeypatch, tmp_path):
+    code, module = LEAVES_OUT[case]
+    if case == "warm-run":
+        from onegenus import sieve
+
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+        if sieve._stream_kernel.__wrapped__() is None:
+            pytest.skip("no compiled kernel to find in the cache")
+    probe = f"import sys\n{code}\nprint({module!r} in sys.modules)"
     proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
                           check=True, timeout=60)
     assert proc.stdout.strip() == "False"

@@ -24,6 +24,7 @@ from onegenus.arith import primes_up_to
 from onegenus.errors import CheckpointMismatch, InternalCheckError
 from onegenus.forms import witness_form
 from onegenus.sieve import SieveConfig, eliminated_residues, run_sieve, survivors_mod
+from oracles import eliminated_residues_loop
 
 # small full-coverage config used throughout: every prime's 4p^2 sits below
 # the cutoff, so eliminations in [2200, 30000] are certified
@@ -123,6 +124,10 @@ class TestSurvivorsMod:
             expect = [a for a in range(p) if (-a) % p not in qr]
             assert survivors_mod([p]) == expect
             assert len(expect) == (p + 1) // 2
+
+    def test_eliminated_residues_match_the_loop(self):
+        for p in primes_up_to(4999)[1:]:
+            assert np.array_equal(eliminated_residues(p), eliminated_residues_loop(p)), p
 
 
 class TestBitTables:
@@ -732,7 +737,7 @@ def _python_int_oracle(config: SieveConfig, runner, words) -> tuple[int, list[in
     """(valid bits, survivors in word and bit order, per-prime tally) of the
     words, each below 2m, sieved one candidate at a time in Python ints."""
     m = runner.m
-    luts = [sieve.eliminated_residues(q) for q in runner.primes]
+    luts = [eliminated_residues_loop(q) for q in runner.primes]
     valid, out, tally = 0, [], [0] * len(runner.primes)
     for x in (int(v) % m for v in words):
         for k in range(32):
@@ -1051,6 +1056,37 @@ class TestStreamKernel:
         assert sieve._stream_kernel.__wrapped__() is not None
         [built] = os.listdir(tmp_path / "onegenus")
         assert built.startswith(f"stream-{hashlib.sha256(source.read_bytes()).hexdigest()[:24]}-")
+
+    def test_cache_key_is_the_compiler_file(self, monkeypatch, tmp_path):
+        # no process reads the compiler's identity: a shim in front of it
+        # builds its own file, a touched shim another, and a hit builds nothing
+        real = shutil.which("cc")
+        if real is None:
+            pytest.skip("no cc on PATH")
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
+        built = tmp_path / "cache" / "onegenus"
+        assert sieve._stream_kernel.__wrapped__() is not None
+        [by_real] = os.listdir(built)
+
+        shim = tmp_path / "bin" / "cc"
+        shim.parent.mkdir()
+        shim.write_text(f'#!/bin/sh\nexec "{real}" "$@"\n')
+        shim.chmod(0o755)
+        monkeypatch.setenv("PATH", f"{shim.parent}{os.pathsep}{os.environ['PATH']}")
+        assert sieve._stream_kernel.__wrapped__() is not None
+        [by_shim] = set(os.listdir(built)) - {by_real}
+
+        st = shim.stat()
+        os.utime(shim, ns=(st.st_atime_ns, st.st_mtime_ns + 10**9))
+        assert sieve._stream_kernel.__wrapped__() is not None
+        assert len(set(os.listdir(built)) - {by_real, by_shim}) == 1
+
+        def no_build(*args, **kwargs):
+            raise AssertionError(f"a cache hit ran {args}")
+
+        monkeypatch.setattr(subprocess, "run", no_build)
+        assert sieve._stream_kernel.__wrapped__() is not None
+        assert len(os.listdir(built)) == 3
 
     @pytest.mark.parametrize("defines", [[], ["-DONEGENUS_NO_SIMD"]], ids=["package", "no-simd"])
     def test_builds_without_warnings(self, tmp_path, defines):
