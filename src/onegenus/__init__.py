@@ -4,9 +4,6 @@ Exact binary-quadratic-form arithmetic, a bit-packed congruence sieve over
 candidate discriminants, survivor verification, a dual-route L-value identity
 checker, and evaluators for the explicit inequality chain used to rule out
 large prime factors.
-
-The analytic names (from `analytic` and `bounds`) load on first use, so a
-process that only sieves or settles survivors never imports mpmath.
 """
 
 from .forms import (
@@ -21,6 +18,8 @@ from .forms import (
 )
 from .sieve import SieveConfig, SieveOutcome, run_sieve
 from .survivors import full_check, idoneal_scan
+from .analytic import AuxiliaryK, choose_k, fundamental_unit, verify_identity
+from .bounds import bound_report, theorem_threshold, waldschmidt_exponent
 
 __version__ = "0.1.0"
 
@@ -46,24 +45,3 @@ __all__ = [
     "waldschmidt_exponent",
     "witness_form",
 ]
-
-_LAZY = {
-    "AuxiliaryK": "analytic",
-    "choose_k": "analytic",
-    "fundamental_unit": "analytic",
-    "verify_identity": "analytic",
-    "bound_report": "bounds",
-    "theorem_threshold": "bounds",
-    "waldschmidt_exponent": "bounds",
-}
-
-
-def __getattr__(name: str):
-    """Resolve an analytic name on first access (PEP 562)."""
-    if name not in _LAZY:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    from importlib import import_module
-
-    value = getattr(import_module(f".{_LAZY[name]}", __name__), name)
-    globals()[name] = value
-    return value

@@ -510,7 +510,7 @@ def _stream_kernel() -> _Kernel | None:
     ~/.cache/onegenus), or, when that fails, into a directory of this user's
     under tempfile.gettempdir().  The file is named by the sha256 of the
     source, then that of the flags and the compiler's identity: the real path,
-    size and mtime of the `cc` found on PATH, and the machine.  So only a
+    size and mtime of the `cc` found on PATH.  So only a
     build starts a process, and a new source, new flags or a replaced compiler
     file builds again, while a wrapper such as ccache keeps the old file,
     which is still correct: source and flags alone fix what it computes.  It
@@ -519,7 +519,6 @@ def _stream_kernel() -> _Kernel | None:
     tried.  The one file serves every CPU: the kernel picks its SIMD path at
     run time.
     """
-    import platform
     import shutil
     import tempfile
     from importlib import resources
@@ -534,7 +533,7 @@ def _stream_kernel() -> _Kernel | None:
         info = os.stat(real)
     except OSError:
         return None
-    identity = f"{real}\0{info.st_size}\0{info.st_mtime_ns}\0{platform.machine()}"
+    identity = f"{real}\0{info.st_size}\0{info.st_mtime_ns}"
     build = hashlib.sha256(" ".join(flags).encode() + b"\0" + identity.encode()).hexdigest()
     name = f"stream-{hashlib.sha256(source).hexdigest()[:24]}-{build[:16]}.so"
     cache = os.environ.get("XDG_CACHE_HOME") or os.path.join(os.path.expanduser("~"), ".cache")

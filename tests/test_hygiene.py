@@ -1,9 +1,8 @@
 """Source hygiene that no installed linter checks: every module-level import
 in src/ and tests/ is used by the file that makes it, every public
 module-level name of src/ that src/ itself never reads is on a known list,
-and a process loads no module that only another leg needs: the CLI import no
-worker pool's, a sieve import no analytic leg's, a run on a cached kernel no
-compiler's."""
+and a process loads no module that only another step needs: the CLI import no
+worker pool's, a run on a cached kernel no compiler's."""
 import ast
 import subprocess
 import sys
@@ -111,18 +110,15 @@ def test_public_names_unread_in_src_are_known():
 
 def test_package_all_resolves():
     import onegenus
-    from onegenus import analytic, bounds, bound_report, verify_identity
 
     assert [n for n in onegenus.__all__ if not hasattr(onegenus, n)] == []
-    assert (verify_identity, bound_report) == (analytic.verify_identity, bounds.bound_report)
 
 
 # what each probe runs, and a module it must not load: once numpy is loaded,
 # multiprocessing costs every importer ~5 ms and only a worker pool uses it;
-# mpmath only the analytic leg uses; subprocess only a kernel build
+# subprocess only a kernel build uses
 LEAVES_OUT = {
     "cli": ("import onegenus.cli", "multiprocessing"),
-    "sieve": ("import onegenus.sieve, onegenus.survivors", "mpmath"),
     "warm-run": ("from onegenus.sieve import SieveConfig, run_sieve\n"
                  "run_sieve(SieveConfig(p1_primes=(3, 5, 7), p2_primes=(11, 13, 17),\n"
                  "                      sieve_primes=(19, 23, 29, 31, 37, 41, 43, 47),\n"
