@@ -269,7 +269,7 @@ def remainder_bound(d: int, k: int, reduced: list[forms.QuadForm], dps: int = DE
         root = mp.sqrt(-d)
         total = mpf(0)
         for f in reduced:
-            x = mp.e ** (-mp.pi * root / (k * f.a))
+            x = mp.exp(-mp.pi * root / (k * f.a))
             total += 2 * x / (1 - x) ** 2
         return 4 * mp.pi / root * total
 

@@ -1,10 +1,18 @@
-"""Shared exact integer helpers: primes, factor counts, quadratic symbols."""
+"""Shared exact integer helpers: primes, factor counts, quadratic symbols.
+
+Everything here is plain Python; `factorize` imports sympy only for a
+cofactor that trial division by the primes below 2^10 and `is_prime` cannot
+settle.
+"""
 from __future__ import annotations
 
+import functools
 import math
 
-# Deterministic Miller-Rabin witnesses for n < 3.3*10^24.
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# psi_13 (Sorenson & Webster, Math. Comp. 86, 2017): Miller-Rabin to the 13
+# prime bases 2..41 is deterministic for every n below it.
+_MR_EXACT_BELOW = 3_317_044_064_679_887_385_961_981
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 
 
 def primes_up_to(n: int) -> list[int]:
@@ -65,11 +73,42 @@ def odd_primes_not_dividing(n: int):
         p = next_prime(p)
 
 
-def factorize(n: int) -> dict[int, int]:
-    """Prime factorization {p: e} of |n| (sympy backend, imported lazily)."""
-    from sympy import factorint
+@functools.cache
+def _trial_primes() -> list[int]:
+    return primes_up_to(1 << 10)
 
-    return {int(p): int(e) for p, e in factorint(abs(int(n))).items()}
+
+def factorize(n: int) -> dict[int, int]:
+    """Prime factorization {p: e} of |n|; {0: 1} for n = 0, as sympy gives it.
+
+    Divides out the primes below 2^10, stopping once p^2 exceeds the
+    cofactor.  A cofactor that survives them all is kept as a prime when it
+    is below psi_13 and `is_prime` says so; only a composite one, or one at
+    or above psi_13, goes to sympy's factorint, imported at that point.
+    """
+    n = abs(int(n))
+    if n == 0:
+        return {0: 1}
+    out = {}
+    for p in _trial_primes():
+        if p * p > n:
+            break
+        if n % p == 0:
+            e = 0
+            while n % p == 0:
+                n //= p
+                e += 1
+            out[p] = e
+    else:
+        # no prime factor below 2^10 is left, yet n may still be composite
+        if n > 1 and not (n < _MR_EXACT_BELOW and is_prime(n)):
+            from sympy import factorint
+
+            out.update((int(p), int(e)) for p, e in factorint(n).items())
+            return out
+    if n > 1:
+        out[n] = 1
+    return out
 
 
 def omega(n: int) -> int:

@@ -278,7 +278,9 @@ class SieveOutcome:
     @functools.cached_property
     def survivors(self) -> list[int]:
         """Every survivor as a Python int, ascending; built on first access."""
-        return self.direct.tolist() + self.stream
+        out = self.direct.tolist()
+        out += self.stream  # in place: `+` would copy the pass-through list again
+        return out
 
     @functools.cached_property
     def _config_hash(self) -> str:  # once per record, not once per save

@@ -19,7 +19,7 @@ from onegenus.analytic import (
     remainder_bound,
     verify_identity,
 )
-from onegenus.arith import kronecker
+from onegenus.arith import factorize, is_prime, kronecker
 from onegenus.errors import InternalCheckError
 
 from oracles import l2_cot_fixed_point
@@ -99,6 +99,48 @@ class TestKronecker:
             a, b = rng.randrange(-99, 99), rng.randrange(-99, 99)
             n = rng.randrange(1, 99)
             assert kronecker(a * b, n) == kronecker(a, n) * kronecker(b, n)
+
+
+PSI_12 = 318_665_857_834_031_151_167_461  # strong pseudoprime to the 12 bases 2..37
+PSI_13 = 3_317_044_064_679_887_385_961_981  # strong pseudoprime to the 13 bases 2..41
+
+
+class TestIsPrime:
+    def test_psi12_is_composite(self):
+        assert PSI_12 == 399_165_290_221 * 798_330_580_441
+        assert not is_prime(PSI_12)
+
+    def test_against_sympy(self):
+        from sympy import isprime
+
+        rng = random.Random(41)
+        for _ in range(3000):
+            n = rng.randrange(1, PSI_13, 2)
+            assert is_prime(n) == isprime(n), n
+
+
+class TestFactorize:
+    @staticmethod
+    def _oracle(n):
+        from sympy import factorint
+
+        return {int(p): int(e) for p, e in factorint(abs(n)).items()}
+
+    def test_small_range(self):
+        for n in range(-50, 3 * 10**4):
+            assert factorize(n) == self._oracle(n), n
+
+    def test_each_length(self):
+        rng = random.Random(28)
+        for digits in range(3, 30):
+            for _ in range(150):
+                n = rng.randrange(10 ** (digits - 1), 10**digits)
+                assert factorize(n) == self._oracle(n), n
+
+    @pytest.mark.parametrize("n", [1021**2, 1031**2, 1021 * 1031, 3 * 1031**2, PSI_12, PSI_13,
+                                   (2**61 - 1) * (2**31 - 1), 2**89 - 1, 0])
+    def test_edges(self, n):
+        assert factorize(n) == self._oracle(n)
 
 
 class TestChooseK:

@@ -116,13 +116,22 @@ def test_package_all_resolves():
 
 # what each probe runs, and a module it must not load: once numpy is loaded,
 # multiprocessing costs every importer ~5 ms and only a worker pool uses it;
-# subprocess only a kernel build uses
+# subprocess only a kernel build uses; sympy (~30 MB, ~0.5 s) only factorize's
+# hard cofactors, which no number of the audit or the genus report has.  A
+# probe reads its verdict from stdout, so the code it runs prints nothing.
 LEAVES_OUT = {
     "cli": ("import onegenus.cli", "multiprocessing"),
     "warm-run": ("from onegenus.sieve import SieveConfig, run_sieve\n"
                  "run_sieve(SieveConfig(p1_primes=(3, 5, 7), p2_primes=(11, 13, 17),\n"
                  "                      sieve_primes=(19, 23, 29, 31, 37, 41, 43, 47),\n"
                  "                      limit=10**6, small_cutoff=10**4))", "subprocess"),
+    "audit": ("from onegenus import analytic, bounds\n"
+              "analytic.verify_identity(-20)\n"
+              "analytic.real_class_number(21)\n"
+              "analytic.fundamental_unit(21)\n"
+              "bounds.bound_report(-98 * 10**17)", "sympy"),
+    "genus": ("from onegenus import forms\n"
+              "forms.genus_report(-420).to_json_dict()", "sympy"),
 }
 
 
