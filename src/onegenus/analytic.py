@@ -20,6 +20,8 @@ continued-fraction step on reduced irrationals (p + sqrt(k))/q, whose
 expansions are purely periodic: one period of omega = (b + sqrt(k))/2 gives
 eps = y omega + y', and h(k) is the number of cycles of the reduced
 irrationals of discriminant k, with no adjustment for the norm of eps.
+They are found by trial division inside the reduction window only, each
+divisor a of (k - p^2)/4 giving a and its cofactor c at once.
 
 The character is tabulated from one period of each Kronecker symbol, and
 the Bernoulli sum is taken in integers, so the Bernoulli route rounds once,
@@ -92,18 +94,6 @@ def _validate_k(k: int) -> None:
         raise ValueError(f"k must be squarefree, got {k}")
 
 
-def _cf_step(k: int, s: int, p: int, q: int) -> tuple[int, int, int]:
-    """One continued-fraction step of (p + sqrt(k))/q, q > 0, with s = isqrt(k).
-
-    Returns the partial quotient a and the next complete quotient
-    (p' + sqrt(k))/q' = 1/((p + sqrt(k))/q - a), where q | k - p^2 makes q'
-    exact.
-    """
-    a = (p + s) // q
-    p = a * q - p
-    return a, p, (k - p * p) // q
-
-
 @dataclass(frozen=True)
 class UnitData:
     """Minimal x, y > 0 with x^2 - k y^2 = +-4 and the regulator log(eps)."""
@@ -131,9 +121,11 @@ def fundamental_unit(k: int, dps: int = DEFAULT_DPS) -> UnitData:
     p, q = b, 2
     y, y1 = 0, 1
     while True:
-        a, p, q = _cf_step(k, s, p, q)
+        a = (p + s) // q
+        p = a * q - p
+        q = (k - p * p) // q  # q | k - p^2 makes the next q exact
         y, y1 = a * y + y1, y
-        if (p, q) == (b, 2):
+        if p == b and q == 2:
             break
     x = y * b + 2 * y1
     if x * x - k * y * y not in (4, -4):
@@ -148,30 +140,37 @@ def real_class_number(k: int) -> int:
     """Class number h(k) of Q(sqrt(k)) for squarefree k = 1 (mod 4).
 
     A reduced irrational (p + sqrt(k))/(2a), a > 0, is the reduced form
-    (a, p, (p^2 - k)/(4a)): p odd, a | (k - p^2)/4 and
-    sqrt(k) - p < 2a < sqrt(k) + p.  Two of them are equivalent exactly when
-    they lie on one cycle of the continued-fraction step, so h(k) is the
-    number of cycles, with no adjustment for the norm of the unit.
+    (a, p, -c): p odd, 4ac = k - p^2 and sqrt(k) - p < 2a < sqrt(k) + p.
+    As (2a)(2c) = (sqrt(k) - p)(sqrt(k) + p), 2a is in this window exactly
+    when 2c is, so only divisors a <= isqrt(ac) are tried, each giving (p, 2a)
+    and (p, 2c).  Such an a has 2a <= sqrt(k - p^2), below the window's top,
+    and k is not a square, so with s = isqrt(k) the window is the integer
+    bound s - p < 2a.  Two of them are equivalent exactly when they lie on
+    one cycle of the continued-fraction step, so h(k) is the number of
+    cycles, with no adjustment for the norm of the unit.
     """
     _validate_k(k)
     s = math.isqrt(k)
     reduced = set()
     for p in range(1, s + 1, 2):
         n = (k - p * p) // 4
-        for aa in range(1, math.isqrt(n) + 1):
-            if n % aa:
-                continue
-            for a in (aa, n // aa):
-                if s - p < 2 * a <= s + p:
-                    reduced.add((p, 2 * a))
+        for a in range((s - p) // 2 + 1, math.isqrt(n) + 1):
+            if n % a == 0:
+                reduced.add((p, 2 * a))
+                reduced.add((p, 2 * (n // a)))
     cycles = 0
     while reduced:
         cycles += 1
-        start = g = reduced.pop()
-        while (g := _cf_step(k, s, *g)[1:]) != start:
-            if g not in reduced:
-                raise InternalCheckError(f"reduction step left the reduced set for k={k}")
-            reduced.remove(g)
+        start = p, q = reduced.pop()
+        while True:
+            p = (p + s) // q * q - p
+            q = (k - p * p) // q  # q | k - p^2 makes the next q exact
+            if (p, q) == start:
+                break
+            try:
+                reduced.remove((p, q))
+            except KeyError:
+                raise InternalCheckError(f"reduction step left the reduced set for k={k}") from None
     return cycles
 
 

@@ -2,7 +2,7 @@
 import math
 
 import numpy as np
-from mpmath import mp
+from mpmath import mp, mpf
 from mpmath.libmp import dps_to_prec
 
 from onegenus.analytic import DEFAULT_DPS, _character_blocks
@@ -16,6 +16,64 @@ def eliminated_residues_loop(p: int) -> np.ndarray:
     for x in range(1, p):
         bad[(-x * x) % p] = True
     return bad
+
+
+def _cf_step(k: int, s: int, p: int, q: int) -> tuple[int, int, int]:
+    """One continued-fraction step of (p + sqrt(k))/q, q > 0, with s = isqrt(k).
+
+    Returns the partial quotient a and the next complete quotient
+    (p' + sqrt(k))/q' = 1/((p + sqrt(k))/q - a), where q | k - p^2 makes q'
+    exact.
+    """
+    a = (p + s) // q
+    p = a * q - p
+    return a, p, (k - p * p) // q
+
+
+def real_class_number_trial(k: int) -> int:
+    """h(k) for squarefree k = 1 (mod 4) with every divisor tried.
+
+    For each odd p < sqrt(k), every a <= isqrt((k - p^2)/4) is trial-divided
+    and both a and its cofactor are tested against the reduction window
+    sqrt(k) - p < 2a < sqrt(k) + p; the cycles of _cf_step on the reduced
+    set are then counted.
+    """
+    s = math.isqrt(k)
+    reduced = set()
+    for p in range(1, s + 1, 2):
+        n = (k - p * p) // 4
+        for aa in range(1, math.isqrt(n) + 1):
+            if n % aa:
+                continue
+            for a in (aa, n // aa):
+                if s - p < 2 * a <= s + p:
+                    reduced.add((p, 2 * a))
+    cycles = 0
+    while reduced:
+        cycles += 1
+        start = g = reduced.pop()
+        while (g := _cf_step(k, s, *g)[1:]) != start:
+            assert g in reduced, f"reduction step left the reduced set for k={k}"
+            reduced.remove(g)
+    return cycles
+
+
+def fundamental_unit_loop(k: int, dps: int) -> tuple[int, int, mpf]:
+    """(x, y, log eps) of Q(sqrt(k)) from one period of (b + sqrt(k))/2,
+    b the largest odd integer <= sqrt(k), stepped by _cf_step."""
+    s = math.isqrt(k)
+    b = s if s % 2 else s - 1
+    p, q = b, 2
+    y, y1 = 0, 1
+    while True:
+        a, p, q = _cf_step(k, s, p, q)
+        y, y1 = a * y + y1, y
+        if (p, q) == (b, 2):
+            break
+    x = y * b + 2 * y1
+    with mp.workdps(max(dps, int(x.bit_length() * 0.302) + 20)):
+        log_eps = +mp.log((mpf(x) + mpf(y) * mp.sqrt(k)) / 2)
+    return x, y, log_eps
 
 
 def primitive_class_counts(limit: int) -> np.ndarray:

@@ -19,10 +19,10 @@ from onegenus.analytic import (
     remainder_bound,
     verify_identity,
 )
-from onegenus.arith import factorize, is_prime, kronecker
+from onegenus.arith import factorize, is_prime, is_squarefree, kronecker
 from onegenus.errors import InternalCheckError
 
-from oracles import l2_cot_fixed_point
+from oracles import fundamental_unit_loop, l2_cot_fixed_point, real_class_number_trial
 
 
 def rel_close(x, y, tol):
@@ -32,6 +32,11 @@ def rel_close(x, y, tol):
 # the oracle runs once per d, 10 digits above the highest precision compared
 ORACLE_DPS = 110
 FUNDAMENTAL_UNDER_400 = [-n for n in range(3, 400) if n % 4 in (0, 3) and forms.is_fundamental(-n)]
+
+
+def _real_moduli(stop):
+    """Every squarefree k = 1 (mod 4) with 1 < k < stop."""
+    return [k for k in range(5, stop, 4) if is_squarefree(k)]
 
 
 def _cot_sum_oracle(k, d, dps):
@@ -208,6 +213,13 @@ class TestFundamentalUnit:
                     if v >= 0 and math.isqrt(v) ** 2 == v:
                         pytest.fail(f"smaller solution y={y} exists for k={k}")
 
+    def test_matches_the_period_loop(self):
+        for k in _real_moduli(10**4):
+            for dps in (30, 60):
+                u = fundamental_unit(k, dps)
+                x, y, log_eps = fundamental_unit_loop(k, dps)
+                assert (u.x, u.y, u.log_epsilon._mpf_) == (x, y, log_eps._mpf_), (k, dps)
+
     def test_rejects_bad_k(self):
         with pytest.raises(ValueError):
             fundamental_unit(8)
@@ -231,6 +243,19 @@ class TestRealClassNumber:
             with mp.workdps(40):
                 est = mp.sqrt(k) * ls / (2 * u.log_epsilon)
             assert abs(float(est) - h) < 1e-6, k
+
+    def test_matches_the_trial_division_oracle(self):
+        # k = m^2 +- 4 lies next to a square, where sqrt(k) is nearest the
+        # integer bounds s - p < 2a <= s + p that stand in for the window
+        rng = random.Random(29)
+        seeded = []
+        while len(seeded) < 10:
+            k = rng.randrange(10**6 + 1, 4 * 10**6, 4)
+            if is_squarefree(k):
+                seeded.append(k)
+        edge = [m * m + e for m in range(3, 302, 2) for e in (-4, 4) if is_squarefree(m * m + e)]
+        for k in _real_moduli(2 * 10**4) + seeded + edge:
+            assert real_class_number(k) == real_class_number_trial(k), k
 
 
 class TestLValues:
