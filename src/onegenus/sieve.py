@@ -42,11 +42,16 @@ word wraps past m; no per-word residue is computed.  Each group runs the
 valid masks and the branchless first window; the words still live join a
 pending buffer of a few thousand, which the later primes sieve in one
 branchless pass per prime, dropping the words each pass leaves fully hit.
-The first window runs on AVX-512 (16 words at a time: masked row loads
-merged by the wrap mask, popcounts) where the CPU has it, else in plain C
-(word by word), chosen once per process at run time, so one cached file
-serves every CPU; _Runner.simd, SieveOutcome.simd and the manifest's
-stream_simd name the path.  Otherwise
+The kernel runs on AVX-512 where the CPU has it, else in plain C, chosen
+once per process at run time, so one cached file serves every CPU;
+_Runner.simd, SieveOutcome.simd and the manifest's stream_simd name the
+path.  Plain C goes word by word, with a loop over the first-window primes
+per group for its rows.  AVX-512 takes a group's rows for all 8 primes in
+a few vector instructions, runs the first window 16 words at a time
+(masked row loads merged by the wrap mask, popcounts), keeps its credits
+in per-lane counters that reach the tally once per outer residue and
+block, which is why the kernel refuses blocks above its BLOCK_MAX, and
+takes a mod q for the later primes 8 words at a time, in doubles.  Otherwise
 the numpy kernel runs, which is also the compiled one's test oracle.  A numpy
 pass sieves about _BLOCK words, few enough for its arrays to stay in L2
 cache: the block shifted by as many outer residues of the chunk as that
@@ -701,6 +706,9 @@ class _Runner:
                 raise MemoryError("the stream kernel could not allocate its block buffers")
             if n == -3:
                 raise InternalCheckError("the stream kernel takes at most FIRST_MAX first-window primes")
+            if n == -4:
+                raise InternalCheckError(f"the stream kernel takes blocks of 1 to BLOCK_MAX words, "
+                                         f"not {_BLOCK}")
             self._grow_out(4 * self._out.size)
 
     def _process_range_numpy(self, lo: int, hi: int, inner: tuple[int, int] | None = None):

@@ -20,7 +20,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from onegenus import sieve
-from onegenus.arith import primes_up_to
+from onegenus.arith import is_prime, primes_up_to
 from onegenus.errors import CheckpointMismatch, InternalCheckError
 from onegenus.forms import witness_form
 from onegenus.sieve import SieveConfig, eliminated_residues, run_sieve, survivors_mod
@@ -895,19 +895,30 @@ DENSE = dict(CRITERION8,
              limit=32 * math.prod(CRITERION8["p1_primes"]) * math.prod(CRITERION8["p2_primes"]))
 
 
-def _pending_words() -> int:
+def _kernel_define(name: str) -> int:
     source = resources.files("onegenus").joinpath("_stream.c").read_text()
-    return int(re.search(r"#define PENDING (\d+)", source).group(1))
+    return int(re.search(rf"#define {name} (\d+)", source).group(1))
 
 
-def _live_words(config: SieveConfig, lo: int, hi: int) -> int:
-    """The words of outer indices [lo, hi) with a live bit after the first
-    window: the distinct words of the survivors of its primes alone."""
+def _pending_words() -> int:
+    return _kernel_define("PENDING")
+
+
+def _first_window_runner(config: SieveConfig):
+    """A numpy runner of config's first-window primes alone."""
     runner = sieve._Runner(config)
     first = SieveConfig(p1_primes=config.p1_primes, p2_primes=config.p2_primes,
                         sieve_primes=tuple(runner.first_q.ravel().tolist()),
                         limit=config.limit, small_cutoff=config.small_cutoff)
-    return len({a % runner.m for a in sieve._Runner(first)._process_range_numpy(lo, hi)[0]})
+    return sieve._Runner(first)
+
+
+def _live_words(config: SieveConfig, lo: int, hi: int, inner=None, first=None) -> int:
+    """The words of outer indices [lo, hi) and inner ones inner with a live
+    bit after the first window: the distinct words of the survivors of its
+    primes alone, sieved by first, a _first_window_runner(config)."""
+    first = first or _first_window_runner(config)
+    return len({a % first.m for a in first._process_range_numpy(lo, hi, inner)[0]})
 
 
 class TestPendingBuffer:
@@ -938,6 +949,23 @@ class TestPendingBuffer:
                                      inner, 120)
         assert out[1][8:].sum() > 0 and out[3] == 12 * (inner[1] - inner[0])
 
+    def test_paper_scale_tile_flushes(self, monkeypatch, compiled_kernels):
+        # the last outer residue's first 2^17 inner words at 9.8*10^18 hold
+        # more than 2*PENDING live words: two flushes while it walks, then
+        # the last one; both builds give the same output as numpy
+        config = SieveConfig(limit=98 * 10**17)
+        n = sieve._Runner(config).n_outer
+        assert _live_words(config, n - 1, n, (0, 1 << 17)) > 2 * _pending_words()
+        outs = []
+        for kernel in compiled_kernels:
+            monkeypatch.setattr(sieve, "_stream_kernel", lambda: kernel)
+            runner = sieve._Runner(config)
+            got = runner.process_range(n - 1, n, (0, 1 << 17))
+            outs.append((got[0], got[1].tolist(), *got[2:]))
+        expect = runner._process_range_numpy(n - 1, n, (0, 1 << 17))
+        assert outs[0][3] == 1 << 17 and sum(outs[0][1][8:]) > 0
+        assert all(out == (expect[0], expect[1].tolist(), *expect[2:]) for out in outs)
+
     def test_survivor_overflow_after_the_first_flush(self, monkeypatch, compiled_kernels):
         # one later prime leaves many survivors; the survivor buffer holds
         # those of the first PENDING words that have one, so at least the
@@ -959,6 +987,67 @@ class TestPendingBuffer:
             assert got[0] == expect[0]
             assert got[1].tolist() == expect[1].tolist()
             assert got[2:] == expect[2:]
+
+
+class TestLaterPass:
+    """On AVX-512 the later primes below VEC_Q_MAX take each a mod q in
+    doubles, 8 pending words at a time, and the Barrett pass takes the last
+    fewer than 8 and the primes at or above VEC_Q_MAX; the plain build takes
+    the Barrett pass throughout.  Both compiled builds against numpy or
+    Python ints."""
+
+    def test_prime_at_the_bound_takes_the_scalar_pass(self, monkeypatch, compiled_kernels):
+        # the top-of-range words with 53..97 and the first prime at or above
+        # VEC_Q_MAX: the first window, two vector passes, then a scalar one
+        q = _kernel_define("VEC_Q_MAX")
+        while not is_prime(q):
+            q += 1
+        config = SieveConfig(sieve_primes=(*(p for p in primes_up_to(97) if p >= 53), q),
+                             limit=98 * 10**17, small_cutoff=4 * q * q + 1)
+        for kernel in compiled_kernels:
+            monkeypatch.setattr(sieve, "_stream_kernel", lambda: kernel)
+            runner = sieve._Runner(config)
+            assert len(runner.first_q) == 8 and runner.primes[-1] == q
+            n = runner.n_outer
+            out, tally, valid, words = runner.process_range(n - 1, n, (0, 2048))
+            a = runner.outer_base[n - 1] + runner._gen_contrib(0, 2048)
+            assert (valid, out, tally.tolist()) == _python_int_oracle(config, runner, a)
+            assert tally[-1] > 0 and out
+
+    def test_pending_counts_off_the_vector_width(self, monkeypatch, compiled_kernels):
+        # spans of 1..160 words from inside a group leave every count of
+        # live words from 1 to 7, and above 8 every remainder mod 8
+        config = SieveConfig(**DENSE)
+        first = _first_window_runner(config)
+        spans = [(100, 100 + length) for length in range(1, 161)]
+        counts = {_live_words(config, 7, 8, inner, first) for inner in spans}
+        assert set(range(1, 8)) <= counts
+        assert set(range(1, 8)) <= {c % 8 for c in counts if c > 8}
+        runners = []
+        for kernel in compiled_kernels:
+            monkeypatch.setattr(sieve, "_stream_kernel", lambda: kernel)
+            runners.append(sieve._Runner(config))
+        for inner in spans:
+            expect = runners[0]._process_range_numpy(7, 8, inner)
+            for runner in runners:
+                got = runner.process_range(7, 8, inner)
+                assert got[0] == expect[0]
+                assert got[1].tolist() == expect[1].tolist()
+                assert got[2:] == expect[2:]
+
+    def test_top_of_range_words(self, monkeypatch, compiled_kernels):
+        # a up to m - 1 < 2^62, so a >> 32 near 2^30, and survivors past 2^63
+        config = SieveConfig(sieve_primes=tuple(p for p in primes_up_to(97) if p >= 53),
+                             limit=98 * 10**17)
+        for kernel in compiled_kernels:
+            monkeypatch.setattr(sieve, "_stream_kernel", lambda: kernel)
+            runner = sieve._Runner(config)
+            n = runner.n_outer
+            out, tally, valid, words = runner.process_range(n - 1, n, (0, 2048))
+            a = runner.outer_base[n - 1] + runner._gen_contrib(0, 2048)
+            assert (valid, out, tally.tolist()) == _python_int_oracle(config, runner, a)
+            assert tally[8:].sum() > 0 and max(out) > 2**63
+            assert max(int(x) % runner.m for x in a) > runner.m - runner.m // 1000
 
 
 def _oracle_csv(outcome) -> bytes:
@@ -1161,6 +1250,22 @@ class TestStreamKernel:
                                   runner._out_ptr, runner._out.size, *runner._sums_ptrs)
             assert n == -3
         with pytest.raises(InternalCheckError):
+            runner.process_range(0, 1, (0, 1))
+
+    def test_block_above_the_bound_is_refused(self, monkeypatch, compiled_kernels):
+        # the AVX-512 counters hold at most 32 per word of a block in uint32,
+        # so the kernel refuses a block above BLOCK_MAX, and one below 1,
+        # before anything is read
+        bound = _kernel_define("BLOCK_MAX")
+        assert sieve._BLOCK <= bound and 32 * bound < 2**32
+        runner = _compiled_runner(SieveConfig(**PIPELINE))
+        for kernel in compiled_kernels:
+            for block in (0, bound + 1):
+                n = kernel.sieve_span(runner._tables_ptr, 0, 1, 0, 1, block,
+                                      runner._out_ptr, runner._out.size, *runner._sums_ptrs)
+                assert n == -4
+        monkeypatch.setattr(sieve, "_BLOCK", bound + 1)
+        with pytest.raises(InternalCheckError, match="BLOCK_MAX"):
             runner.process_range(0, 1, (0, 1))
 
     @pytest.mark.parametrize("params, chunks", [(PIPELINE, 5), (CRITERION8, 20)],
