@@ -23,11 +23,17 @@ irrationals of discriminant k, with no adjustment for the norm of eps.
 They are found by trial division inside the reduction window only, each
 divisor a of (k - p^2)/4 giving a and its cofactor c at once.
 
-The character is tabulated from one period of each Kronecker symbol, and
-the Bernoulli sum is taken in integers, so the Bernoulli route rounds once,
-at its last step.
+The character is tabulated over one period of each Kronecker symbol by
+arith.kronecker_table, and the Bernoulli sum is taken in integers, so the
+Bernoulli route rounds once, at its last step.
 
 Reals are carried as mpmath values at DEFAULT_DPS = 60 significant digits.
+The inner loops of l1_series and remainder_bound, and the log of the unit,
+call mpmath.libmp's mpf_* functions on raw (sign, mantissa, exponent,
+bitcount) tuples, at the precision mp.workdps(dps) sets and rounding to
+nearest.  They take the steps of the high-level mpmath expressions that
+each docstring names, in the same order, so each value is that
+expression's value, bit for bit; only the per-call wrapping is left out.
 verify_identity refuses fewer than MIN_DPS = 15, where the two routes
 already agree to ~1e-15, seven orders inside SERIES_RTOL; at 8 digits the
 gap reaches 5e-9, next to it.
@@ -40,9 +46,28 @@ from fractions import Fraction
 
 import numpy as np
 from mpmath import mp, mpf
+from mpmath.libmp import (
+    dps_to_prec,
+    fone,
+    from_int,
+    fzero,
+    mpf_add,
+    mpf_div,
+    mpf_exp,
+    mpf_log,
+    mpf_mul,
+    mpf_mul_int,
+    mpf_neg,
+    mpf_pi,
+    mpf_pow_int,
+    mpf_sin,
+    mpf_sqrt,
+    mpf_sub,
+    round_nearest,
+)
 
 from . import forms
-from .arith import is_prime, is_squarefree, kronecker, odd_primes_not_dividing
+from .arith import is_prime, is_squarefree, kronecker, kronecker_table, odd_primes_not_dividing
 from .errors import InternalCheckError
 
 DEFAULT_DPS = 60
@@ -113,7 +138,8 @@ def fundamental_unit(k: int, dps: int = DEFAULT_DPS) -> UnitData:
     integers, so the continued fraction of omega is purely periodic and one
     period gives the unit: with y, y' the last two convergent denominators,
     eps = y omega + y', i.e. x = y b + 2 y'.  x^2 - k y^2 = +-4 is checked
-    exactly.
+    exactly.  log(eps) is mp.log((mpf(x) + mpf(y) * mp.sqrt(k)) / 2) at dps
+    digits, or 20 more than x has, bit for bit.
     """
     _validate_k(k)
     s = math.isqrt(k)
@@ -130,10 +156,12 @@ def fundamental_unit(k: int, dps: int = DEFAULT_DPS) -> UnitData:
     x = y * b + 2 * y1
     if x * x - k * y * y not in (4, -4):
         raise InternalCheckError(f"period of (b + sqrt(k))/2 gave no unit for k={k}")
-    log_dps = max(dps, int(x.bit_length() * 0.302) + 20)
-    with mp.workdps(log_dps):
-        log_eps = +mp.log((mpf(x) + mpf(y) * mp.sqrt(k)) / 2)
-    return UnitData(k=k, x=x, y=y, log_epsilon=log_eps)
+    prec = dps_to_prec(max(dps, int(x.bit_length() * 0.302) + 20))
+    rnd = round_nearest
+    root = mpf_sqrt(from_int(k), prec, rnd)
+    eps = mpf_add(from_int(x, prec, rnd), mpf_mul(from_int(y, prec, rnd), root, prec, rnd), prec, rnd)
+    log_eps = mpf_log(mpf_div(eps, from_int(2), prec, rnd), prec, rnd)
+    return UnitData(k=k, x=x, y=y, log_epsilon=mp.make_mpf(log_eps))
 
 
 def real_class_number(k: int) -> int:
@@ -175,14 +203,24 @@ def real_class_number(k: int) -> int:
 
 
 def l1_series(k: int, dps: int = DEFAULT_DPS) -> mpf:
-    """L(1, chi_k) by the finite even-character sum over log sin(pi a / k)."""
-    with mp.workdps(dps):
-        total = mpf(0)
-        for a in range(1, k):
-            chi = kronecker(k, a)
-            if chi:
-                total += chi * mp.log(mp.sin(mp.pi * a / k))
-        return -total / mp.sqrt(k)
+    """L(1, chi_k) by the finite even-character sum over log sin(pi a / k).
+
+    The sum is -(sum_a chi(a) * mp.log(mp.sin(mp.pi * a / k))) / mp.sqrt(k)
+    at dps digits, taken term by term in that order on the libmp functions
+    that those mpmath calls run, so the value is that expression's, bit for
+    bit.
+    """
+    prec = dps_to_prec(dps)
+    rnd = round_nearest
+    pi = mpf_pi(prec, rnd)
+    kf = from_int(k)
+    total = fzero
+    for a, chi in enumerate(kronecker_table(k).tolist()):
+        if chi:
+            x = mpf_div(mpf_mul_int(pi, a, prec, rnd), kf, prec, rnd)
+            term = mpf_mul_int(mpf_log(mpf_sin(x, prec, rnd), prec, rnd), chi, prec, rnd)
+            total = mpf_add(total, term, prec, rnd)
+    return mp.make_mpf(mpf_div(mpf_neg(total, prec, rnd), mpf_sqrt(kf, prec, rnd), prec, rnd))
 
 
 def _character_blocks(k: int, d: int, stop: int):
@@ -198,8 +236,8 @@ def _character_blocks(k: int, d: int, stop: int):
     if k % 4 != 1 or k < 1 or d >= 0 or d % 4 not in (0, 1):
         raise ValueError(f"need k = 1 (mod 4) and a discriminant d < 0, got k={k}, d={d}")
     n = -d
-    chi_k = np.array([kronecker(k, r) for r in range(k)], dtype=np.int8)
-    chi_d = np.array([kronecker(d, r) for r in range(n)], dtype=np.int8)
+    chi_k = kronecker_table(k)
+    chi_d = kronecker_table(d)
     for lo in range(0, stop, _CHI_BLOCK):
         r = np.arange(lo, min(lo + _CHI_BLOCK, stop))
         yield chi_k[r % k] * chi_d[r % n]
@@ -263,14 +301,23 @@ def remainder_bound(d: int, k: int, reduced: list[forms.QuadForm], dps: int = DE
 
     Each form's geometric remainder series sum_{r>=1} r x^r equals x/(1-x)^2
     exactly, so this dominates the modulus of the nonzero-frequency terms.
+    The value is bit for bit that of the mpmath expression at dps digits:
+    root = mp.sqrt(-d), each x = mp.exp(-mp.pi * root / (k * a)), the terms
+    2 * x / (1 - x) ** 2 added in form order, and 4 * mp.pi / root * total,
+    each step on the libmp function that mpmath runs for it.
     """
-    with mp.workdps(dps):
-        root = mp.sqrt(-d)
-        total = mpf(0)
-        for f in reduced:
-            x = mp.exp(-mp.pi * root / (k * f.a))
-            total += 2 * x / (1 - x) ** 2
-        return 4 * mp.pi / root * total
+    prec = dps_to_prec(dps)
+    rnd = round_nearest
+    pi = mpf_pi(prec, rnd)
+    root = mpf_sqrt(from_int(-d), prec, rnd)
+    scale = mpf_mul(mpf_neg(pi, prec, rnd), root, prec, rnd)
+    total = fzero
+    for f in reduced:
+        x = mpf_exp(mpf_div(scale, from_int(k * f.a), prec, rnd), prec, rnd)
+        gap = mpf_pow_int(mpf_sub(fone, x, prec, rnd), 2, prec, rnd)
+        total = mpf_add(total, mpf_div(mpf_mul_int(x, 2, prec, rnd), gap, prec, rnd), prec, rnd)
+    front = mpf_div(mpf_mul_int(pi, 4, prec, rnd), root, prec, rnd)
+    return mp.make_mpf(mpf_mul(front, total, prec, rnd))
 
 
 @dataclass

@@ -1,8 +1,8 @@
 """Shared exact integer helpers: primes, factor counts, quadratic symbols.
 
-Everything here is plain Python; `factorize` imports sympy only for a
-cofactor that trial division by the primes below 2^10 and `is_prime` cannot
-settle.
+Everything here is plain Python but `kronecker_table`, which builds a numpy
+array; `factorize` imports sympy only for a cofactor that trial division by
+the primes below 2^10 and `is_prime` cannot settle.
 """
 from __future__ import annotations
 
@@ -155,6 +155,64 @@ def kronecker(a: int, n: int) -> int:
     if n != 1:
         return 0
     return sign * result
+
+
+# (D/r) by r mod 8 for the 2-adic part of D: r odd alone when 4 | D with D/4 a
+# discriminant, then the prime-discriminant characters -4, 8 and -8
+_ODD_ROW = (0, 1, 0, 1, 0, 1, 0, 1)
+_TWO_ADIC_ROWS = {
+    -4: (0, 1, 0, -1, 0, 1, 0, -1),
+    8: (0, 1, 0, -1, 0, -1, 0, 1),
+    -8: (0, 1, 0, 1, 0, -1, 0, -1),
+}
+
+
+def kronecker_table(D: int):
+    """kronecker(D, r) for r in [0, |D|), as an int8 numpy array, for a
+    discriminant D = 0 or 1 (mod 4) of either sign.
+
+    Write D = D0 f^2 with D0 fundamental.  For r >= 0, (D/r) is (D0/r) when
+    gcd(r, f) = 1 and 0 otherwise, and (D0/r) is the product of the
+    characters of the prime discriminants that make up D0 (Davenport,
+    Multiplicative Number Theory, ch. 5): the Legendre symbol (r/p) for each
+    odd prime p dividing D to an odd power, and the character of -4, 8 or -8
+    when D0 is even.  So the table is one Legendre row per such p, from one
+    scatter of the squares mod p, times a row by r mod 8 for the prime 2,
+    with the multiples of every other odd p dividing f set to 0.  Each row is
+    periodic in r with a period dividing |D|.
+    """
+    import numpy as np
+
+    if D == 0 or D % 4 not in (0, 1):
+        raise ValueError(f"D must be a nonzero discriminant, 0 or 1 (mod 4), got {D}")
+    n = abs(D)
+    table = np.ones(n, dtype=np.int8)
+    odd_kernel = 1  # the product of the odd primes dividing D to an odd power
+    twos = 0
+    for p, e in factorize(n).items():
+        if p == 2:
+            twos = e
+        elif e % 2:
+            row = np.full(p, -1, dtype=np.int8)
+            x = np.arange(1, (p + 1) // 2, dtype=np.int64)
+            row[x * x % p] = 1
+            row[0] = 0
+            table *= np.resize(row, n)
+            odd_kernel *= p
+        else:
+            table[::p] = 0
+    if twos:
+        # u = sign(D) * odd_kernel is c or -c, where c = 1 (mod 4) is the
+        # product of the odd prime discriminants p* of D0.  D0 is 8u for odd
+        # twos, so 8c or -8c; for even ones it is u = c, with 2 | f, when
+        # u = 1 (mod 4), and 4u = -4c otherwise.
+        u = odd_kernel if D > 0 else -odd_kernel
+        if twos % 2:
+            row = _TWO_ADIC_ROWS[8 if u % 4 == 1 else -8]
+        else:
+            row = _ODD_ROW if u % 4 == 1 else _TWO_ADIC_ROWS[-4]
+        table *= np.resize(np.array(row, dtype=np.int8), n)
+    return table
 
 
 def sqrt_mod_prime(a: int, p: int) -> int:

@@ -117,6 +117,8 @@ _ALL_HIT = np.uint32(0xFFFFFFFF)
 _MAX_MODULUS = 1 << 62    # P1*P2 bound: every int64 sum stays below 2*P1*P2
 _SURVIVOR_CAPACITY = 1 << 16  # first survivor buffer of the compiled kernel; grows 4x when full
 _WHEEL_WORDS = 1 << 18    # bound on the compiled first window's row words, with its wheel
+_TABLE_ROWS = 1 << 16     # residues per pass of build_bit_tables: a (rows, 32) int64 index, 16 MB
+TABLE_BUDGET = 1 << 24    # bytes: SieveConfig refuses sieve primes whose packed tables, 4*sum(q), pass it
 
 
 def default_sieve_primes() -> tuple[int, ...]:
@@ -148,6 +150,12 @@ class SieveConfig:
                 raise ValueError(f"{p} is not an odd prime")
         if not self.p1_primes or not self.p2_primes:
             raise ValueError("both prime products must be non-empty")
+        table_bytes = 4 * sum(self.sieve_primes)
+        if table_bytes > TABLE_BUDGET:
+            raise ValueError(
+                f"the sieve primes' bit tables would take {table_bytes} bytes (4 per residue), "
+                f"above the {TABLE_BUDGET}-byte budget; choose fewer or smaller sieve primes"
+            )
         if self.modulus >= _MAX_MODULUS:
             raise ValueError(
                 f"P1*P2 = {self.modulus} must be below 2^62, so that the stream's "
@@ -235,16 +243,24 @@ def survivors_mod(primes) -> list[int]:
 
 
 def build_bit_tables(config: SieveConfig) -> dict[int, np.ndarray]:
-    """Per sieve prime q, 32-bit words indexed by a mod q; bit k covers a + k*P1*P2."""
+    """Per sieve prime q, 32-bit words indexed by a mod q; bit k covers a + k*P1*P2.
+
+    Built _TABLE_ROWS residues at a time, so that the (rows, 32) index stays
+    bounded whatever q; a q up to _TABLE_ROWS takes one pass.
+    """
     m = config.modulus
     words = {}
     ks = np.arange(WORD_WIDTH, dtype=np.int64)
     shifts = np.arange(WORD_WIDTH, dtype=np.uint32)
     for q in config.sieve_primes:
         bad = eliminated_residues(q)
-        idx = (np.arange(q, dtype=np.int64)[:, None] + ks[None, :] * (m % q)) % q
-        bits = bad[idx].astype(np.uint32) << shifts[None, :]
-        words[q] = np.bitwise_or.reduce(bits, axis=1)
+        step = ks[None, :] * (m % q)
+        table = np.empty(q, dtype=np.uint32)
+        for lo in range(0, q, _TABLE_ROWS):
+            hi = min(lo + _TABLE_ROWS, q)
+            idx = (np.arange(lo, hi, dtype=np.int64)[:, None] + step) % q
+            table[lo:hi] = np.bitwise_or.reduce(bad[idx].astype(np.uint32) << shifts[None, :], axis=1)
+        words[q] = table
     return words
 
 

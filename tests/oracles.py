@@ -6,6 +6,7 @@ from mpmath import mp, mpf
 from mpmath.libmp import dps_to_prec
 
 from onegenus.analytic import DEFAULT_DPS, _character_blocks
+from onegenus.arith import kronecker
 from onegenus.survivors import ambiguous_census
 
 
@@ -16,6 +17,23 @@ def eliminated_residues_loop(p: int) -> np.ndarray:
     for x in range(1, p):
         bad[(-x * x) % p] = True
     return bad
+
+
+def bit_tables_single_pass(config) -> dict[int, np.ndarray]:
+    """Per sieve prime q, the 32-bit table words of a mod q, from one (q, 32)
+    int64 index over every residue at once."""
+    from onegenus.sieve import WORD_WIDTH, eliminated_residues
+
+    m = config.modulus
+    words = {}
+    ks = np.arange(WORD_WIDTH, dtype=np.int64)
+    shifts = np.arange(WORD_WIDTH, dtype=np.uint32)
+    for q in config.sieve_primes:
+        bad = eliminated_residues(q)
+        idx = (np.arange(q, dtype=np.int64)[:, None] + ks[None, :] * (m % q)) % q
+        bits = bad[idx].astype(np.uint32) << shifts[None, :]
+        words[q] = np.bitwise_or.reduce(bits, axis=1)
+    return words
 
 
 def _cf_step(k: int, s: int, p: int, q: int) -> tuple[int, int, int]:
@@ -74,6 +92,35 @@ def fundamental_unit_loop(k: int, dps: int) -> tuple[int, int, mpf]:
     with mp.workdps(max(dps, int(x.bit_length() * 0.302) + 20)):
         log_eps = +mp.log((mpf(x) + mpf(y) * mp.sqrt(k)) / 2)
     return x, y, log_eps
+
+
+def l1_series_loop(k: int, dps: int = DEFAULT_DPS) -> mpf:
+    """L(1, chi_k) by the finite even-character sum over log sin(pi a / k),
+    one kronecker call and one mpmath log-sin per residue."""
+    with mp.workdps(dps):
+        total = mpf(0)
+        for a in range(1, k):
+            chi = kronecker(k, a)
+            if chi:
+                total += chi * mp.log(mp.sin(mp.pi * a / k))
+        return -total / mp.sqrt(k)
+
+
+def remainder_bound_loop(d: int, k: int, reduced, dps: int = DEFAULT_DPS) -> mpf:
+    """Sum over the reduced forms of d of (4 pi / sqrt(|d|)) * 2x/(1-x)^2,
+    x = exp(-pi sqrt(|d|)/(k a)), in mpmath's high-level arithmetic."""
+    with mp.workdps(dps):
+        root = mp.sqrt(-d)
+        total = mpf(0)
+        for f in reduced:
+            x = mp.exp(-mp.pi * root / (k * f.a))
+            total += 2 * x / (1 - x) ** 2
+        return 4 * mp.pi / root * total
+
+
+def kronecker_table_loop(D: int) -> list[int]:
+    """kronecker(D, r) for r in [0, |D|), one call per residue."""
+    return [kronecker(D, r) for r in range(abs(D))]
 
 
 def primitive_class_counts(limit: int) -> np.ndarray:

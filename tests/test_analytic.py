@@ -19,10 +19,17 @@ from onegenus.analytic import (
     remainder_bound,
     verify_identity,
 )
-from onegenus.arith import factorize, is_prime, is_squarefree, kronecker
+from onegenus.arith import factorize, is_prime, is_squarefree, kronecker, kronecker_table
 from onegenus.errors import InternalCheckError
 
-from oracles import fundamental_unit_loop, l2_cot_fixed_point, real_class_number_trial
+from oracles import (
+    fundamental_unit_loop,
+    kronecker_table_loop,
+    l1_series_loop,
+    l2_cot_fixed_point,
+    real_class_number_trial,
+    remainder_bound_loop,
+)
 
 
 def rel_close(x, y, tol):
@@ -105,9 +112,24 @@ class TestKronecker:
             n = rng.randrange(1, 99)
             assert kronecker(a * b, n) == kronecker(a, n) * kronecker(b, n)
 
+    def test_table_is_the_kronecker_loop(self):
+        # every discriminant 0 < |D| < 5000 of either sign, fundamental or not
+        for n in range(1, 5000):
+            for D in (n, -n):
+                if D % 4 in (0, 1):
+                    table = kronecker_table(D)
+                    assert table.dtype == np.int8, D
+                    assert table.tolist() == kronecker_table_loop(D), D
+
+    def test_table_rejects_non_discriminants(self):
+        for D in (0, 2, 3, -1, -2, 7, -5):
+            with pytest.raises(ValueError, match="discriminant"):
+                kronecker_table(D)
+
 
 PSI_12 = 318_665_857_834_031_151_167_461  # strong pseudoprime to the 12 bases 2..37
 PSI_13 = 3_317_044_064_679_887_385_961_981  # strong pseudoprime to the 13 bases 2..41
+PSI_13_FACTORS = (1_287_836_182_261, 2_575_672_364_521)
 
 
 class TestIsPrime:
@@ -135,12 +157,62 @@ class TestFactorize:
         for n in range(-50, 3 * 10**4):
             assert factorize(n) == self._oracle(n), n
 
+    @staticmethod
+    def _cofactor(rng, shape, hi):
+        """A cofactor below hi/2 as {p: e}, built from chosen primes, or None
+        when none of the shape fits.  Each shape leaves factorize a different
+        path once the primes below 2^10 are divided out."""
+        from sympy import randprime
+
+        def prime(lo, top):
+            # a prime in [lo, top) below hi/2, its digit count drawn at random
+            top = min(top, hi // 2)
+            if top - lo < 10**4:
+                return None
+            size = rng.randint(len(str(lo)), len(str(top - 1)))
+            return randprime(max(lo, 10 ** (size - 1)), min(top, 10**size))
+
+        psi = PSI_13
+        if shape == "trial":
+            return {}
+        if shape == "composite":  # no factor below 2^10, so sympy factors it
+            q = prime(1031, 10**6)
+            r = q and prime(1031, hi // (2 * q))
+            return {q: 1, r: 1} if r else None
+        if shape in ("bound", "psi_13"):  # composite, just at each bound
+            c = {1031: 2} if shape == "bound" else dict.fromkeys(PSI_13_FACTORS, 1)
+            return c if math.prod(p**e for p, e in c.items()) < hi // 2 else None
+        p = {
+            "early": lambda: prime(1031, 1021**2),  # kept once p^2 passes it
+            "late": lambda: prime(1021**2, 1031**2),  # kept after every trial prime
+            "mr": lambda: prime(1031**2, psi),  # kept by is_prime
+            "below_psi": lambda: prime(psi - 10**9, psi),
+            "above_psi": lambda: prime(psi, psi + 10**9),  # prime, but sympy's
+        }[shape]()
+        return {p: 1} if p else None
+
     def test_each_length(self):
+        # n = cofactor * primes below 2^10, so its factorization is known
+        # without factoring; 150 n per length, the cofactor shapes in turn
+        shapes = ("trial", "early", "late", "mr", "below_psi", "bound", "composite",
+                  "psi_13", "above_psi")
+        from sympy import primerange
+
+        assert math.prod(PSI_13_FACTORS) == PSI_13
         rng = random.Random(28)
+        trial = list(primerange(2, 1 << 10))
         for digits in range(3, 30):
-            for _ in range(150):
-                n = rng.randrange(10 ** (digits - 1), 10**digits)
-                assert factorize(n) == self._oracle(n), n
+            lo, hi = 10 ** (digits - 1), 10**digits
+            for i in range(150):
+                expected = self._cofactor(rng, shapes[i % len(shapes)], hi) or {}
+                n = math.prod(p**e for p, e in expected.items())
+                target = rng.randrange(max(2 * lo, n), hi)
+                while 2 * n <= target:
+                    p = rng.choice([p for p in trial if n * p <= target])
+                    expected[p] = expected.get(p, 0) + 1
+                    n *= p
+                assert lo <= n < hi
+                assert factorize(n) == expected, n
 
     @pytest.mark.parametrize("n", [1021**2, 1031**2, 1021 * 1031, 3 * 1031**2, PSI_12, PSI_13,
                                    (2**61 - 1) * (2**31 - 1), 2**89 - 1, 0])
@@ -329,6 +401,42 @@ class TestL2Series:
             analytic.l2_series(15, -20)
         with pytest.raises(ValueError, match="discriminant"):
             analytic.l2_series(21, -21)
+
+
+# the bound on k for l1_series's comparison: for every k below 2000 it takes
+# ~60 s at the four precisions, while choose_k gives k < 600 for every |d|
+# below 2*10^6
+L1_IDENTITY_BOUND = 600
+IDENTITY_DPS = (15, 30, 60, 100)
+
+
+class TestByteIdentity:
+    """The libmp loops against the mpmath expressions they stand for: the
+    raw _mpf_ tuples must be equal, which makes the reprs equal at any
+    precision, not just at the context's, where repr shows ~17 digits."""
+
+    def test_l1_series_is_the_log_sin_loop(self):
+        for k in _real_moduli(L1_IDENTITY_BOUND):
+            for dps in IDENTITY_DPS:
+                got = analytic.l1_series(k, dps)._mpf_
+                assert got == l1_series_loop(k, dps)._mpf_, (k, dps)
+
+    def test_unit_log_is_the_mpmath_expression(self):
+        for k in _real_moduli(2000):
+            for dps in IDENTITY_DPS:
+                got = fundamental_unit(k, dps).log_epsilon._mpf_
+                assert got == fundamental_unit_loop(k, dps)[2]._mpf_, (k, dps)
+
+    def test_remainder_bound_is_the_exp_loop(self):
+        for n in range(3, 2000):
+            d = -n
+            if n % 4 not in (0, 3) or not forms.is_fundamental(d):
+                continue
+            k = choose_k(d).k
+            reduced = forms.enumerate_reduced(d)
+            for dps in IDENTITY_DPS:
+                got = remainder_bound(d, k, reduced, dps)._mpf_
+                assert got == remainder_bound_loop(d, k, reduced, dps)._mpf_, (d, dps)
 
 
 def _char_sum(d, k):

@@ -171,6 +171,18 @@ class TestExitCodes:
         assert "internal verification failure" in capsys.readouterr().err
 
 
+    def test_over_budget_sieve_primes_exit_1(self, capsys, tmp_path):
+        # the primes in [4*10^6, 4.1*10^6] would need ~28 GB of bit tables
+        from onegenus import cli as climod
+
+        out = tmp_path / "surv.csv"
+        args = ["sieve", "--limit", "1000", "--sieve-primes", "4000000..4100000", "--out", str(out)]
+        assert climod.main(args) == 1
+        err = capsys.readouterr().err
+        assert "onegenus: error:" in err and "budget" in err
+        assert not out.exists()
+
+
 class TestIntegerOptions:
     def test_limit_reaches_config_exactly(self, monkeypatch):
         # 1.2345678901234567e18 is not a double; a float round trip gives ...768

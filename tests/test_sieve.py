@@ -24,7 +24,7 @@ from onegenus.arith import is_prime, primes_up_to
 from onegenus.errors import CheckpointMismatch, InternalCheckError
 from onegenus.forms import witness_form
 from onegenus.sieve import SieveConfig, eliminated_residues, run_sieve, survivors_mod
-from oracles import eliminated_residues_loop
+from oracles import bit_tables_single_pass, eliminated_residues_loop
 
 # small full-coverage config used throughout: every prime's 4p^2 sits below
 # the cutoff, so eliminations in [2200, 30000] are certified
@@ -168,8 +168,44 @@ class TestBitTables:
             zeros = sum(1 for a in range(53) if not (int(table[a]) >> k) & 1)
             assert zeros == (53 + 1) // 2
 
+    @pytest.mark.parametrize("config", [SCALED, CRITERION8, dict(limit=10**6)],
+                             ids=["scaled", "criterion8", "default"])
+    def test_equal_to_one_pass(self, config):
+        config = SieveConfig(**config)
+        tables, single = sieve.build_bit_tables(config), bit_tables_single_pass(config)
+        assert list(tables) == list(single)
+        for q in single:
+            assert tables[q].dtype == single[q].dtype == np.uint32
+            assert tables[q].tobytes() == single[q].tobytes(), q
+
+    def test_row_blocks_join_without_seams(self, monkeypatch):
+        # blocks of 7 rows end short for every q here, and 65537 > 2^16 takes
+        # two blocks at the default size
+        config = SieveConfig(p1_primes=(3, 5), p2_primes=(7, 11), sieve_primes=(53, 59, 65537),
+                             limit=10**6, small_cutoff=2 * 10**6)
+        single = bit_tables_single_pass(config)
+        whole = sieve.build_bit_tables(config)
+        monkeypatch.setattr(sieve, "_TABLE_ROWS", 7)
+        short = sieve.build_bit_tables(config)
+        for q in single:
+            assert whole[q].tobytes() == short[q].tobytes() == single[q].tobytes(), q
+
 
 class TestConfig:
+    def test_table_budget(self):
+        # the packed tables take 4 bytes per residue of every sieve prime: the
+        # primes from 7 up fill the budget, and the next one passes it
+        fits, total = [], 0
+        for p in primes_up_to(10**5)[3:]:
+            if 4 * (total + p) > sieve.TABLE_BUDGET:
+                break
+            fits.append(p)
+            total += p
+        SieveConfig(p1_primes=(3,), p2_primes=(5,), sieve_primes=fits, limit=0)
+        with pytest.raises(ValueError, match="budget"):
+            SieveConfig(p1_primes=(3,), p2_primes=(5,), sieve_primes=(*fits, p), limit=0)
+        assert 4 * sum(sieve.default_sieve_primes()) < sieve.TABLE_BUDGET // 50
+
     def test_coverage_claim(self):
         # 32 * P1 * P2 exceeds 9.8e18 with the default products (exact integers)
         config = SieveConfig(limit=10**6)
