@@ -7,8 +7,10 @@ term (pi^2/6) * Q * sum_f chi(a)/a plus Fourier remainder terms whose moduli
 are bounded by an explicit geometric series.  Every quantity here is computed
 two independent ways where possible:
 
-* L(1, chi_k): class number formula 2 h(k) log(eps) / sqrt(k) against the
-  finite log-sin character sum;
+* L(1, chi_k): class number formula 2 h(k) log(eps) / sqrt(k) against
+  Dirichlet's finite formula (2/sqrt(k)) log(P-/P+), where P+ and P- are
+  the products of sin(pi a/k) over the 0 < a < k/2 with chi_k(a) = +1 and
+  -1;
 * L(1, chi_k chi_d): class number formula h(kd) pi / sqrt(k |d|), with h(kd)
   counted from reduced forms, against -pi B_{1,chi} / sqrt(k |d|), the exact
   value of the Dirichlet series at s = 1 for the odd primitive character
@@ -28,12 +30,15 @@ arith.kronecker_table, and the Bernoulli sum is taken in integers, so the
 Bernoulli route rounds once, at its last step.
 
 Reals are carried as mpmath values at DEFAULT_DPS = 60 significant digits.
-The inner loops of l1_series and remainder_bound, and the log of the unit,
-call mpmath.libmp's mpf_* functions on raw (sign, mantissa, exponent,
-bitcount) tuples, at the precision mp.workdps(dps) sets and rounding to
-nearest.  They take the steps of the high-level mpmath expressions that
-each docstring names, in the same order, so each value is that
-expression's value, bit for bit; only the per-call wrapping is left out.
+The inner loop of remainder_bound and the log of the unit call
+mpmath.libmp's mpf_* functions on raw (sign, mantissa, exponent, bitcount)
+tuples, at the precision mp.workdps(dps) sets and rounding to nearest.
+They take the steps of the high-level mpmath expressions that each
+docstring names, in the same order, so each value is that expression's
+value, bit for bit; only the per-call wrapping is left out.  l1_series
+takes its sines from a fixed-point rotation in Python integers and ends
+with one mpf_log; with the guard bits its docstring derives, it is within
+1/4 ulp at dps before its last rounding, so within 3/4 ulp of L(1, chi_k).
 verify_identity refuses fewer than MIN_DPS = 15, where the two routes
 already agree to ~1e-15, seven orders inside SERIES_RTOL; at 8 digits the
 gap reaches 5e-9, next to it.
@@ -50,8 +55,10 @@ from mpmath.libmp import (
     dps_to_prec,
     fone,
     from_int,
+    from_man_exp,
     fzero,
     mpf_add,
+    mpf_cos_sin,
     mpf_div,
     mpf_exp,
     mpf_log,
@@ -60,10 +67,11 @@ from mpmath.libmp import (
     mpf_neg,
     mpf_pi,
     mpf_pow_int,
-    mpf_sin,
+    mpf_shift,
     mpf_sqrt,
     mpf_sub,
     round_nearest,
+    to_fixed,
 )
 
 from . import forms
@@ -203,24 +211,64 @@ def real_class_number(k: int) -> int:
 
 
 def l1_series(k: int, dps: int = DEFAULT_DPS) -> mpf:
-    """L(1, chi_k) by the finite even-character sum over log sin(pi a / k).
+    """L(1, chi_k) for squarefree k = 1 (mod 4) as a product of sines.
 
-    The sum is -(sum_a chi(a) * mp.log(mp.sin(mp.pi * a / k))) / mp.sqrt(k)
-    at dps digits, taken term by term in that order on the libmp functions
-    that those mpmath calls run, so the value is that expression's, bit for
-    bit.
+    chi_k is real, even and primitive, so Dirichlet's finite formula
+    L(1, chi) = -(1/sqrt(k)) sum_{0<a<k} chi(a) log sin(pi a/k), with terms
+    a and k - a equal, is (2/sqrt(k)) log(P-/P+), where P+ and P- are the
+    products of sin(pi a/k) over the 0 < a < k/2 with chi(a) = +1 and -1
+    (Davenport, Multiplicative Number Theory, ch. 6).  It uses neither h(k)
+    nor the unit.  The sines come from a fixed-point rotation in integers
+    scaled by 2^B: (c, s) starts at (2^B, 0) and is turned once per a by
+    (C, S), cos and sin of pi/k rounded to the same scale, with a floor
+    shift per component.  Each s is multiplied into its product, which is
+    cut back to B bits after every factor and keeps the cut bits in an
+    exponent; a plain fixed-point product would underflow (at k = 9805 it
+    is below 2^-2500).  One mpf_log of the ratio ends the sum.
+
+    Error bound, with u = 2^-B, B = P + G, P the binary precision of dps.
+    (C, S), from cos and sin at B + 10 bits rounded to the nearest multiple
+    of u, is within 0.72 u of (cos, sin)(pi/k), and each rotation floors by
+    less than sqrt(2) u, so after a steps s u is within 2.2 a u of
+    sin(pi a/k): the drift is linear in a (the compounding factor
+    (1 + u)^a stays below 1 + k u, and k u < 2^-P).  For a <= k/2,
+    sin(pi a/k) >= 2a/k, so each factor is off by a relative 1.1 k u at
+    most, the same for every a (the bound sin >= sin(pi/k) alone would
+    give k/pi times the absolute error, k^2 u per factor).  Cutting a product back to B
+    bits adds under 2 u.  The errors add over at most k/2 factors, so
+    log(P-/P+) is off by at most (0.57 k^2 + 1.02 k) u.  By the class
+    number formula log(P-/P+) = h(k) log(eps) >= log((1 + sqrt(5))/2) >
+    0.48, which makes that a relative error of at most (1.2 k^2 + 2.15 k) u,
+    and the division, log and square root at B bits add 4.2 u: under
+    2 k^2 u for every k >= 5.  The guard G = 2 bitlen(k) + 3 gives
+    2 k^2 u < 2^-P / 4, so before the last division rounds to P bits the
+    value is within 1/4 ulp of L(1, chi_k), and the result within 3/4 ulp.
     """
+    _validate_k(k)
     prec = dps_to_prec(dps)
+    bits = prec + 2 * k.bit_length() + 3
+    wide = bits + 10
     rnd = round_nearest
-    pi = mpf_pi(prec, rnd)
-    kf = from_int(k)
-    total = fzero
-    for a, chi in enumerate(kronecker_table(k).tolist()):
-        if chi:
-            x = mpf_div(mpf_mul_int(pi, a, prec, rnd), kf, prec, rnd)
-            term = mpf_mul_int(mpf_log(mpf_sin(x, prec, rnd), prec, rnd), chi, prec, rnd)
-            total = mpf_add(total, term, prec, rnd)
-    return mp.make_mpf(mpf_div(mpf_neg(total, prec, rnd), mpf_sqrt(kf, prec, rnd), prec, rnd))
+    step = mpf_div(mpf_pi(wide, rnd), from_int(k), wide, rnd)
+    cos_step, sin_step = ((to_fixed(t, bits + 1) + 1) >> 1 for t in mpf_cos_sin(step, wide, rnd))
+    c, s = 1 << bits, 0
+    pos = neg = 1 << bits  # each product is pos * 2^pos_exp, neg * 2^neg_exp
+    pos_exp = neg_exp = -bits
+    for chi in kronecker_table(k)[1 : (k + 1) // 2].tolist():
+        c, s = (c * cos_step - s * sin_step) >> bits, (c * sin_step + s * cos_step) >> bits
+        if chi > 0:
+            pos *= s
+            cut = pos.bit_length() - bits
+            pos >>= cut
+            pos_exp += cut - bits
+        elif chi:
+            neg *= s
+            cut = neg.bit_length() - bits
+            neg >>= cut
+            neg_exp += cut - bits
+    ratio = mpf_div(from_man_exp(neg, neg_exp), from_man_exp(pos, pos_exp), bits, rnd)
+    twice_log = mpf_shift(mpf_log(ratio, bits, rnd), 1)
+    return mp.make_mpf(mpf_div(twice_log, mpf_sqrt(from_int(k), bits, rnd), prec, rnd))
 
 
 def _character_blocks(k: int, d: int, stop: int):
@@ -304,18 +352,24 @@ def remainder_bound(d: int, k: int, reduced: list[forms.QuadForm], dps: int = DE
     The value is bit for bit that of the mpmath expression at dps digits:
     root = mp.sqrt(-d), each x = mp.exp(-mp.pi * root / (k * a)), the terms
     2 * x / (1 - x) ** 2 added in form order, and 4 * mp.pi / root * total,
-    each step on the libmp function that mpmath runs for it.
+    each step on the libmp function that mpmath runs for it.  The forms
+    (a, b, c) and (a, -b, c) share their term, so each distinct a's term is
+    computed once per call.
     """
     prec = dps_to_prec(dps)
     rnd = round_nearest
     pi = mpf_pi(prec, rnd)
     root = mpf_sqrt(from_int(-d), prec, rnd)
     scale = mpf_mul(mpf_neg(pi, prec, rnd), root, prec, rnd)
+    terms = {}
     total = fzero
     for f in reduced:
-        x = mpf_exp(mpf_div(scale, from_int(k * f.a), prec, rnd), prec, rnd)
-        gap = mpf_pow_int(mpf_sub(fone, x, prec, rnd), 2, prec, rnd)
-        total = mpf_add(total, mpf_div(mpf_mul_int(x, 2, prec, rnd), gap, prec, rnd), prec, rnd)
+        term = terms.get(f.a)
+        if term is None:
+            x = mpf_exp(mpf_div(scale, from_int(k * f.a), prec, rnd), prec, rnd)
+            gap = mpf_pow_int(mpf_sub(fone, x, prec, rnd), 2, prec, rnd)
+            term = terms[f.a] = mpf_div(mpf_mul_int(x, 2, prec, rnd), gap, prec, rnd)
+        total = mpf_add(total, term, prec, rnd)
     front = mpf_div(mpf_mul_int(pi, 4, prec, rnd), root, prec, rnd)
     return mp.make_mpf(mpf_mul(front, total, prec, rnd))
 

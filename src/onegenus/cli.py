@@ -24,7 +24,7 @@ import sys
 from fractions import Fraction
 
 from . import __version__, analytic, bounds, forms, sieve, survivors
-from .arith import factorize, primes_up_to
+from .arith import factorize, is_prime, primes_up_to
 from .errors import CheckpointMismatch, InternalCheckError
 
 DIGITS = 12
@@ -103,17 +103,32 @@ def _int_arg(text: str) -> int:
 
 
 def _prime_list(text: str) -> tuple[int, ...]:
-    return tuple(int(t) for t in text.split(",") if t.strip())
+    return tuple(_int_arg(t) for t in text.split(",") if t.strip())
 
 
 def _prime_range(text: str) -> tuple[int, ...]:
-    lo, _, hi = text.partition("..")
-    if not _:
+    """The primes in LO..HI, or, when some exceed the table budget, enough of
+    them for SieveConfig to refuse the set.
+
+    A set's tables fit sieve.TABLE_BUDGET only if its primes sum to at most
+    TABLE_BUDGET / 4, so no prime above that bound is in one that fits.  The
+    primes up to the bound are sieved and only the first prime above it is
+    searched for, so memory does not grow with HI.
+    """
+    lo, sep, hi = text.partition("..")
+    if not sep:
         raise argparse.ArgumentTypeError("expected LO..HI")
-    lo_v, hi_v = int(lo), int(hi)
+    lo_v, hi_v = _int_arg(lo), _int_arg(hi)
     if lo_v > hi_v:
         raise argparse.ArgumentTypeError(f"{text} is a reversed range: LO must not exceed HI")
-    return tuple(p for p in primes_up_to(hi_v) if p >= lo_v)
+    cap = sieve.TABLE_BUDGET // 4
+    primes = [p for p in primes_up_to(min(hi_v, cap)) if p >= lo_v] if lo_v <= cap else []
+    q = max(lo_v, cap + 1)
+    while q <= hi_v and not is_prime(q):
+        q += 1
+    if q <= hi_v:
+        primes.append(q)
+    return tuple(primes)
 
 
 def _neg_disc(value: int) -> int:

@@ -5,6 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 from mpmath import mp, mpf
+from mpmath.libmp import dps_to_prec
 from sympy import divisor_sigma
 
 from onegenus import analytic, forms
@@ -406,20 +407,56 @@ class TestL2Series:
 # the bound on k for l1_series's comparison: for every k below 2000 it takes
 # ~60 s at the four precisions, while choose_k gives k < 600 for every |d|
 # below 2*10^6
-L1_IDENTITY_BOUND = 600
+L1_ORACLE_BOUND = 600
 IDENTITY_DPS = (15, 30, 60, 100)
+
+
+def _ulps_from(value, exact, dps):
+    """|value - exact| in units of the last place of value at dps digits."""
+    _, _, exp, bc = value._mpf_
+    ulp = mpf(2) ** (exp + bc - dps_to_prec(dps))
+    with mp.workdps(2 * ORACLE_DPS):
+        return abs(value - exact) / ulp
+
+
+class TestL1Series:
+    """The sine product against the term-by-term log-sin oracle, 20 digits
+    above: its docstring puts the value within 1/4 ulp before the last
+    rounding, so within 3/4 ulp after it."""
+
+    def test_within_its_bound_of_the_log_sin_loop(self):
+        for k in _real_moduli(L1_ORACLE_BOUND):
+            for dps in IDENTITY_DPS:
+                exact = l1_series_loop(k, dps + 20)
+                assert _ulps_from(analytic.l1_series(k, dps), exact, dps) <= 0.75, (k, dps)
+
+    @pytest.mark.parametrize("k", [9805, 10001, 10005])
+    def test_within_its_bound_for_large_k(self, k):
+        # ~5000 rotation steps, with the products far below 2^-2500
+        exact = l1_series_loop(k, analytic.DEFAULT_DPS + 20)
+        assert _ulps_from(analytic.l1_series(k), exact, analytic.DEFAULT_DPS) <= 0.75
+
+    def test_rounds_correctly_where_the_guard_is_tight(self):
+        # at dps 38, L(1, chi_9805) lies 0.255 ulp from the midpoint between
+        # two 130-bit values, so only the correctly rounded one is within
+        # 3/4 ulp: a value more than 0.255 ulp off before its last rounding
+        # could round to the other one
+        exact = l1_series_loop(9805, 58)
+        got = analytic.l1_series(9805, 38)
+        with mp.workdps(38):
+            assert got == +exact
+        assert _ulps_from(got, exact, 38) <= 0.75
+
+    def test_rejects_bad_k(self):
+        for k in (1, 15, 45):
+            with pytest.raises(ValueError):
+                analytic.l1_series(k)
 
 
 class TestByteIdentity:
     """The libmp loops against the mpmath expressions they stand for: the
     raw _mpf_ tuples must be equal, which makes the reprs equal at any
     precision, not just at the context's, where repr shows ~17 digits."""
-
-    def test_l1_series_is_the_log_sin_loop(self):
-        for k in _real_moduli(L1_IDENTITY_BOUND):
-            for dps in IDENTITY_DPS:
-                got = analytic.l1_series(k, dps)._mpf_
-                assert got == l1_series_loop(k, dps)._mpf_, (k, dps)
 
     def test_unit_log_is_the_mpmath_expression(self):
         for k in _real_moduli(2000):

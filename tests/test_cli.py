@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import itertools
 import json
@@ -123,8 +124,10 @@ class TestReportBytes:
          "d708bff068d299bee0748214af5067215fae8aa995716885c562b3d300f45d12"),
         (["threshold", "--d", "1000000"],
          "dd145dfa9585279c98b9633a2ac648566aa64bc5fa89450e179d53106976357f"),
+        # re-pinned when l1_series became a product of sines: series_rel_gap
+        # went 4.55027004876e-61 -> 1.13756751219e-61, nothing else moved
         (["identity", "--d", "-20"],
-         "36ca74db64d54d27ead70a2c27b481e3e38085e2f1baf5e18930bdf306c0403e"),
+         "fa5e85282bb43b6a859f6c27a7b1b965886dd9da79b5e305e13ac1dac5546d47"),
         # the one path where a user's k becomes an AuxiliaryK
         (["identity", "--d", "-20", "--k", "33", "--prec", "80"],
          "27171f20c1aedfa095470156584012fe4f3fc64eabd7303bf422867f3b24548e"),
@@ -182,6 +185,22 @@ class TestExitCodes:
         assert "onegenus: error:" in err and "budget" in err
         assert not out.exists()
 
+    def test_huge_sieve_primes_refused_without_sieving_to_hi(self, monkeypatch, capsys):
+        # sieving to HI = 10^9 would take ~1 GB; the range is refused by the
+        # table budget with no sieve above 10^5
+        from onegenus import cli as climod
+
+        def small_sieve(n, real=climod.primes_up_to):
+            assert n <= 10**5, f"primes_up_to({n})"
+            return real(n)
+
+        monkeypatch.setattr(climod, "primes_up_to", small_sieve)
+        assert climod._prime_range("1000000000..1000001000") == (1000000007,)
+        args = ["sieve", "--limit", "1000", "--sieve-primes", "1000000000..1000001000"]
+        assert climod.main(args) == 1
+        err = capsys.readouterr().err
+        assert "onegenus: error:" in err and "budget" in err
+
 
 class TestIntegerOptions:
     def test_limit_reaches_config_exactly(self, monkeypatch):
@@ -229,6 +248,15 @@ class TestIntegerOptions:
         assert "--sieve-primes" in err and "47..19" in err
         assert climod._prime_range("19..47") == (19, 23, 29, 31, 37, 41, 43, 47)
         assert climod._prime_range("24..28") == ()
+
+    def test_sieve_primes_take_scientific_notation(self):
+        from onegenus import cli as climod
+
+        assert climod._prime_range("1e2..1.1e2") == (101, 103, 107, 109)
+        assert climod._prime_list("53, 5.9e1") == (53, 59)
+        for text in ("1.5..20", "2..1e9999"):
+            with pytest.raises(argparse.ArgumentTypeError):
+                climod._prime_range(text)
 
     def test_fractional_discriminant_is_usage_error(self, cli):
         code, _, err = cli("check", "20.5")
