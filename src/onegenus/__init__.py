@@ -16,7 +16,8 @@ from .forms import (
     reduce_form,
     witness_form,
 )
-from .sieve import SieveConfig, SieveOutcome, run_sieve
+from .record import SieveOutcome
+from .sieve import SieveConfig, run_sieve
 from .survivors import full_check, idoneal_scan
 from .analytic import AuxiliaryK, choose_k, fundamental_unit, verify_identity
 from .bounds import bound_report, theorem_threshold, waldschmidt_exponent

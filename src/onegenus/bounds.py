@@ -38,6 +38,14 @@ KNOWN_DISCREPANCIES = (
 )
 
 
+def _abs_d(d: int) -> int:
+    """|d|, for the bounds that need |d| >= 16; ValueError below that."""
+    n = -d if d < 0 else d
+    if n < 16:
+        raise ValueError(f"|d| >= 16 required, got {n}")
+    return n
+
+
 def robin_omega_bound(n: int) -> mpf:
     """log n/log log n + 1.45743 log n/(log log n)^2; valid for n >= 26."""
     if n < 26:
@@ -73,9 +81,7 @@ def auxiliary_bounds(d: int) -> dict:
     hkd_bound 1.01 sqrt(|d|) L^2, heightQ_bound 2.61 L^4 (proof constant) with
     heightQ_bound_statement 2.16 L^4, and q_prime_bound 1.27 L, L = log |d|.
     """
-    n = -d if d < 0 else d
-    if n < 16:
-        raise ValueError(f"|d| >= 16 required, got {n}")
+    n = _abs_d(d)
     with mp.workdps(DEFAULT_DPS):
         ln = mp.log(n)
         ll = mp.log(ln)
@@ -93,9 +99,7 @@ def auxiliary_bounds(d: int) -> dict:
 
 def beta_height_bound(d: int) -> mpf:
     """B = 8.12 |d|^(3/2) (log|d|)^6 log log|d|, the coefficient height bound."""
-    n = -d if d < 0 else d
-    if n < 16:
-        raise ValueError(f"|d| >= 16 required, got {n}")
+    n = _abs_d(d)
     with mp.workdps(DEFAULT_DPS):
         ln = mp.log(n)
         return mpf("8.12") * mpf(n) ** mpf("1.5") * ln**6 * mp.log(ln)
@@ -129,9 +133,7 @@ def waldschmidt_exponent(d: int) -> mpf:
 
 def paper_exponent(d: int) -> mpf:
     """The simplified exponent 1.2*10^16 (log|d|)^3 log log|d|."""
-    n = -d if d < 0 else d
-    if n < 16:
-        raise ValueError(f"|d| >= 16 required, got {n}")
+    n = _abs_d(d)
     with mp.workdps(DEFAULT_DPS):
         ln = mp.log(n)
         return mpf("1.2e16") * ln**3 * mp.log(ln)
@@ -139,9 +141,7 @@ def paper_exponent(d: int) -> mpf:
 
 def theorem_threshold(d: int) -> mpf:
     """P_min = 5*10^15 |d|^(1/2) (log|d|)^5 log log|d|."""
-    n = -d if d < 0 else d
-    if n < 16:
-        raise ValueError(f"|d| >= 16 required, got {n}")
+    n = _abs_d(d)
     with mp.workdps(DEFAULT_DPS):
         ln = mp.log(n)
         return mpf("5e15") * mp.sqrt(n) * ln**5 * mp.log(ln)

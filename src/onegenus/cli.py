@@ -23,7 +23,7 @@ import re
 import sys
 from fractions import Fraction
 
-from . import __version__, analytic, bounds, forms, sieve, survivors
+from . import __version__, analytic, bounds, forms, record, sieve, survivors
 from .arith import factorize, is_prime, primes_up_to
 from .errors import CheckpointMismatch, InternalCheckError
 
@@ -226,34 +226,18 @@ def _cmd_sieve(args) -> int:
         )
         return 0
     with _open_output(args.out) as fh:
-        sieve.write_survivor_csv(outcome, fh)
-    print(
-        f"[sieve] tested {outcome.tested_count} candidates <= {config.limit}: "
-        f"{outcome.eliminated_count} eliminated, {outcome.survivor_count} survivors "
-        f"({outcome.direct_count} below cutoff {config.small_cutoff})",
-        file=sys.stderr,
-    )
+        record.write_survivor_csv(outcome, fh)
+    run = outcome.manifest()
+    print("[sieve] tested {tested_count} candidates <= {limit}: {eliminated_count} eliminated, "
+          "{survivor_count} survivors ({direct_count} below cutoff {small_cutoff})".format(
+              **run["summary"], **run["config"]), file=sys.stderr)
     manifest_path = args.manifest or (args.out + ".manifest.json" if args.out else None)
     if manifest_path:
         # echo of the configuration and outcome, enough to replay the run
-        manifest = {
-            "command": "sieve",
-            "config": config.canonical(),
-            "config_hash": config.config_hash(),
-            "started": started,
-            "finished": datetime.datetime.now(datetime.timezone.utc).isoformat(),
-            "outputs": {"survivors_csv": args.out, "checkpoint": args.checkpoint},
-            "stream_kernel": outcome.kernel,
-            "stream_simd": outcome.simd,
-            "summary": {
-                "tested_count": outcome.tested_count,
-                "eliminated_count": outcome.eliminated_count,
-                "survivor_count": outcome.survivor_count,
-                "direct_count": outcome.direct_count,
-                "words_processed": outcome.words_processed,
-            },
-        }
-        write_report(manifest, manifest_path)
+        write_report({**run, "command": "sieve", "started": started,
+                      "finished": datetime.datetime.now(datetime.timezone.utc).isoformat(),
+                      "outputs": {"survivors_csv": args.out, "checkpoint": args.checkpoint}},
+                     manifest_path)
     return 0
 
 

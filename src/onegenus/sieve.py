@@ -74,14 +74,6 @@ value it holds in int64 is below 2q, and SieveConfig refuses P1*P2 >= 2^62.
 Eliminations are only trusted for |d| >= small_cutoff (which must exceed
 4*q^2 for every configured prime); everything below the cutoff is passed
 through as a survivor for direct checking.
-
-A run keeps one record, the SieveOutcome it returns, folded chunk by chunk
-and saved as its checkpoint, so that the checkpoint and the result agree.
-A save is due once _SAVE_WORDS words have been folded since the last one,
-and after the last chunk a call runs: every chunk at paper scale, where a
-chunk holds 7 outer residues of ~6*10^8 words, but once per run on small
-configurations, where rewriting the record after each chunk would cost
-more than sieving it.
 """
 from __future__ import annotations
 
@@ -101,7 +93,8 @@ import numpy as np
 
 from . import forms
 from .arith import is_prime, primes_up_to
-from .errors import CheckpointMismatch, InternalCheckError
+from .errors import InternalCheckError
+from .record import SieveOutcome, count_valid
 
 WORD_WIDTH = 32
 DEFAULT_P1 = (3, 5, 7, 11, 13, 17, 19)
@@ -267,148 +260,6 @@ def build_bit_tables(config: SieveConfig) -> dict[int, np.ndarray]:
 # The witness constructor lives in forms, beside QuadForm; perfbench/checks.py
 # and test_benchmark_contract reach it by this name.
 witness_form = forms.witness_form
-
-
-@dataclass
-class SieveOutcome:
-    """The record of a run: its checkpoint while it runs, its result after."""
-    direct: np.ndarray  # pass-through values below small_cutoff, ascending int64
-    stream: list[int]   # stream survivors, at or above small_cutoff; ascending once run_sieve returns
-    tested_count: int
-    per_prime_tally: dict[int, int]  # the P1/P2 primes ascending, then the sieve primes
-    config: SieveConfig
-    completed: bool = True
-    words_processed: int = 0
-    stream_valid: int = 0
-    kernel: str | None = None  # the stream kernel that ran, "c" or "numpy"; None without a stream
-    simd: str | None = None    # the compiled kernel's SIMD path, "avx512" or "none"; else None
-    outer_index: int = 0       # the stream has covered the outer indices [0, outer_index)
-
-    @property
-    def direct_count(self) -> int:
-        return int(self.direct.size)
-
-    @property
-    def survivor_count(self) -> int:
-        return self.direct_count + len(self.stream)
-
-    @property
-    def eliminated_count(self) -> int:
-        return sum(self.per_prime_tally.values())
-
-    @functools.cached_property
-    def survivors(self) -> list[int]:
-        """Every survivor as a Python int, ascending; built on first access."""
-        out = self.direct.tolist()
-        out += self.stream  # in place: `+` would copy the pass-through list again
-        return out
-
-    @functools.cached_property
-    def _config_hash(self) -> str:  # once per record, not once per save
-        return self.config.config_hash()
-
-    def fold(self, end: int, survivors, tally, valid: int, words: int) -> None:
-        """Add one chunk's process_range result, the stream now covering [0, end)."""
-        self.outer_index = end
-        self.stream.extend(survivors)
-        self.stream_valid += valid
-        self.words_processed += words
-        for q, count in zip(self.config.sieve_primes, np.asarray(tally).tolist()):
-            self.per_prime_tally[q] += count
-
-    def save(self, path: str) -> None:
-        """Write the checkpoint to path through path.tmp, which is removed if the
-        write fails; the file, then its directory, are synced, so that a saved
-        record survives a power loss."""
-        data = dict(config_hash=self._config_hash, outer_index=self.outer_index,
-                    stream_valid=self.stream_valid, words_processed=self.words_processed,
-                    bit_tally=[self.per_prime_tally[q] for q in self.config.sieve_primes],
-                    survivors=self.stream)
-        tmp = path + ".tmp"
-        try:
-            with open(tmp, "w") as fh:
-                json.dump(data, fh, sort_keys=True, indent=1)
-                fh.write("\n")
-                fh.flush()
-                os.fsync(fh.fileno())
-            os.replace(tmp, path)
-        except BaseException:
-            with contextlib.suppress(FileNotFoundError):
-                os.unlink(tmp)
-            raise
-        folder = os.open(os.path.dirname(path) or ".", os.O_RDONLY)
-        try:
-            os.fsync(folder)  # the rename itself
-        finally:
-            os.close(folder)
-
-    def resume(self, path: str | None, chunk_ends) -> None:
-        """Fold in the checkpoint at path; CheckpointMismatch when it is missing
-        or unreadable, is for another config or ends none of chunk_ends."""
-        if not path or not os.path.exists(path):
-            raise CheckpointMismatch("resume requested but checkpoint file is missing")
-        try:
-            with open(path) as fh:
-                ck = json.load(fh)
-            if ck["config_hash"] != self._config_hash:
-                raise CheckpointMismatch(f"checkpoint hash {ck['config_hash']} does not match "
-                                         f"config {self._config_hash}")
-            # every key is read here, so that a missing one is a mismatch
-            end, valid, words, tally, survivors = (ck[key] for key in (
-                "outer_index", "stream_valid", "words_processed", "bit_tally", "survivors"))
-            ints = [end, valid, words, *tally, *survivors]
-        except (ValueError, KeyError, TypeError) as exc:
-            raise CheckpointMismatch(f"checkpoint {path} cannot be resumed from "
-                                     f"(corrupt or older format): {exc!r}") from None
-        if not all(type(v) is int for v in ints) or len(tally) != len(self.config.sieve_primes):
-            raise CheckpointMismatch(f"checkpoint {path} holds a field of the wrong type or length")
-        if end not in chunk_ends:
-            raise CheckpointMismatch(f"checkpoint outer_index {end} ends no chunk")
-        self.fold(end, survivors, tally, valid, words)
-
-
-_CSV_BLOCK = 1 << 16  # pass-through values rendered per numpy pass
-_CSV_TAIL = np.frombuffer(b",0,0\n", dtype=np.uint8)  # ",{n % 4},0\n" with n % 4 = 0
-_POW10 = 10 ** np.arange(1, 19, dtype=np.int64)  # the least values of 2..19 digits
-
-
-def write_survivor_csv(outcome: SieveOutcome, fh) -> None:
-    """Write the survivor CSV (abs_d, mod4_class, passed_sieve) to the binary file fh.
-
-    Rows ascend: the pass-through values with passed_sieve 0, then the stream
-    survivors with 1.  The pass-through rows are rendered in numpy, _CSV_BLOCK
-    values at a time, so memory stays bounded however many there are: per run
-    of values of one decimal width w, a uint8 matrix of w digits, ",",
-    "0" + n % 4 and ",0\\n" per row, written as its bytes.  The sparse stream
-    rows, which may pass 2^64, are formatted one by one.
-    """
-    fh.write(b"abs_d,mod4_class,passed_sieve\n")
-    direct = outcome.direct
-    for start in range(0, direct.size, _CSV_BLOCK):
-        block = direct[start:start + _CSV_BLOCK]
-        # the values ascend, so each decimal width is one run of the block
-        cuts = [0, *np.searchsorted(block, _POW10).tolist(), block.size]
-        for w, (lo, hi) in enumerate(zip(cuts, cuts[1:]), 1):
-            if lo == hi:
-                continue
-            rest = block[lo:hi]
-            # one contiguous row per byte position of the CSV rows
-            columns = np.empty((w + _CSV_TAIL.size, rest.size), dtype=np.uint8)
-            columns[w:] = _CSV_TAIL[:, None]
-            columns[w + 1] += (rest & 3).astype(np.uint8)
-            for j in range(w - 1, -1, -1):
-                quotient = rest // 10
-                np.subtract(rest + 48, quotient * 10, out=columns[j], casting="unsafe")
-                rest = quotient
-            fh.write(columns.T.tobytes())
-    fh.write("".join(f"{n},{n % 4},1\n" for n in outcome.stream).encode())
-
-
-def count_valid(limit: int) -> int:
-    """Number of valid |d| <= limit, i.e. |d| >= 3 with |d| = 0 or 3 (mod 4)."""
-    if limit < 3:
-        return 0
-    return (limit // 4) * 2 + (1 if limit % 4 >= 3 else 0)
 
 
 def _direct_values(config: SieveConfig) -> np.ndarray:
@@ -847,24 +698,21 @@ def run_sieve(
     configured prime hits them, the elimination being credited to the
     smallest such prime.  Deterministic for any worker count.
 
-    The P1/P2 primes' tallies, and the number of candidates the stream must
-    find valid, come from _pstage_count: exact, in int64, and in
+    The P1/P2 primes' tallies, and so the number of candidates the stream
+    must find valid, come from _pstage_count: exact, in int64, and in
     O(sqrt|S| log|S|) time for the |S| survivors mod 4*P1*P2, however large
-    the limit.  The stream's count of valid candidates is checked against it.
+    the limit.  A completed run's record must pass SieveOutcome.check.
 
     The run's state is the returned SieveOutcome, whose save writes the
-    checkpoint: config hash, outer_index, stream_valid, words_processed,
-    bit_tally and stream survivors.  resume folds the one in checkpoint_path
-    into the empty record, and raises CheckpointMismatch when that is
-    missing, unreadable, of an older format, for another config or ends no
-    chunk.  Each outer chunk is folded in, and the record replaces the
-    checkpoint file atomically once _SAVE_WORDS words have been folded since
-    the last save or the resume, and after the last chunk this call runs, so
-    a crash at any instant leaves a file that resumes cleanly and loses at
-    most _SAVE_WORDS words of work; the stream is sorted after the last
-    save.  max_chunks stops after that many chunks (at least 1, and only
-    with a checkpoint_path, else ValueError); the partial outcome is flagged
-    completed=False and skips the completion cross-checks.
+    checkpoint.  resume folds the one in checkpoint_path into the empty
+    record, or raises CheckpointMismatch.  Each outer chunk is folded in, and
+    the record replaces the checkpoint file atomically once _SAVE_WORDS words
+    have been folded since the last save or the resume, and after the last
+    chunk this call runs, so a crash at any instant loses at most _SAVE_WORDS
+    words of work; the stream is sorted after the last save.  max_chunks
+    stops after that many chunks (at least 1, and only with a
+    checkpoint_path, else ValueError); the partial outcome is flagged
+    completed=False and is not checked.
     """
     if config.limit >= config.coverage:
         raise ValueError(
@@ -875,7 +723,7 @@ def run_sieve(
                          "and a checkpoint to resume from")
 
     direct = _direct_values(config)
-    valid_total, alive_total, p_tallies = _pstage_count(config)
+    valid_total, _, p_tallies = _pstage_count(config)
 
     runner = _Runner(config) if config.limit >= config.small_cutoff else None
     chunks = _chunk_spans(runner.n_outer, runner.n_inner) if runner else []
@@ -917,15 +765,7 @@ def run_sieve(
     outcome.completed = len(todo) == len(pending)
 
     if outcome.completed:
-        tested, eliminated = outcome.tested_count, outcome.eliminated_count
-        if outcome.stream_valid != alive_total:
-            raise InternalCheckError(f"stream covered {outcome.stream_valid} valid candidates, "
-                                     f"P-stage count expected {alive_total}")
-        if tested != outcome.survivor_count + eliminated:
-            raise InternalCheckError(f"partition broken: tested {tested} != survivors "
-                                     f"{outcome.survivor_count} + eliminated {eliminated}")
-        if tested != count_valid(config.limit):
-            raise InternalCheckError(f"tested {tested} != closed-form count {count_valid(config.limit)}")
+        outcome.check()
     return outcome
 
 

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from mpmath import mp, mpf
 
-from onegenus import analytic, bounds, forms, sieve, survivors
+from onegenus import analytic, bounds, forms, record, sieve, survivors
 from onegenus.sieve import SieveConfig
 
 from oracles import primitive_class_counts
@@ -239,7 +239,7 @@ def test_criterion_8_throughput():
 def test_criterion_9_determinism(tmp_path, pipeline_outcome):
     def rows_bytes(outcome):
         fh = io.BytesIO()
-        sieve.write_survivor_csv(outcome, fh)
+        record.write_survivor_csv(outcome, fh)
         return fh.getvalue()
 
     base = rows_bytes(pipeline_outcome)

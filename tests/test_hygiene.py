@@ -1,6 +1,7 @@
 """Source hygiene that no installed linter checks: every module-level import
 in src/ and tests/ is used by the file that makes it, every public
 module-level name of src/ that src/ itself never reads is on a known list,
+every name a test patches on an onegenus module is one src/ reads from it,
 and a process loads no module that only another step needs: the CLI import no
 worker pool's, a run on a cached kernel no compiler's."""
 import ast
@@ -106,6 +107,92 @@ def test_public_names_unread_in_src_are_known():
     defined = set().union(*map(_defined, trees))
     read = set().union(*map(_read, trees))
     assert defined - read == UNREAD_IN_SRC.keys()
+
+
+# A monkeypatch.setattr on an onegenus module takes effect only where src/
+# reads the name from that module: bare in the module's own source, or as
+# alias.NAME where another module imports it whole.  A patch of any other
+# name, such as one a move left behind on a re-export, changes nothing.
+SRC_MODULES = {"onegenus" + ("" if p.stem == "__init__" else "." + p.stem): p
+               for p in FILES if p.is_relative_to(ROOT / "src")}
+
+
+def _module_aliases(tree: ast.Module) -> dict[str, str]:
+    """Each name that an import anywhere in tree binds to a whole onegenus
+    module, with that module's name; relative imports are from onegenus."""
+    aliases = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name in SRC_MODULES:
+                    bound = alias.asname or alias.name.partition(".")[0]
+                    aliases[bound] = alias.name if alias.asname else bound
+        elif isinstance(node, ast.ImportFrom):
+            base = ".".join(filter(None, ["onegenus" if node.level else None, node.module]))
+            for alias in node.names:
+                if f"{base}.{alias.name}" in SRC_MODULES:
+                    aliases[alias.asname or alias.name] = f"{base}.{alias.name}"
+    return aliases
+
+
+def _src_reads() -> dict[str, set[str]]:
+    """Per onegenus module, the names that src/ reads from it."""
+    trees = {name: ast.parse(path.read_text()) for name, path in SRC_MODULES.items()}
+    reads = {name: {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)
+                    and not isinstance(n.ctx, ast.Store)} for name, tree in trees.items()}
+    for tree in trees.values():
+        aliases = _module_aliases(tree)
+        for n in ast.walk(tree):
+            if isinstance(n, ast.Attribute) and isinstance(n.value, ast.Name) and n.value.id in aliases:
+                reads[aliases[n.value.id]].add(n.attr)
+    return reads
+
+
+def unread_patches(source: str, label: str, reads: dict[str, set[str]]) -> list[str]:
+    """label:line and module.NAME of each monkeypatch.setattr in source of a
+    NAME, given as a string, on an onegenus module that src/ never reads
+    from that module.  Names resolve file-wide; other targets are skipped."""
+    tree = ast.parse(source, filename=label)
+    aliases = _module_aliases(tree)
+
+    def module(node) -> str | None:
+        if isinstance(node, ast.Name):
+            return aliases.get(node.id)
+        if isinstance(node, ast.Attribute) and (outer := module(node.value)):
+            inner = ast.parse(SRC_MODULES[outer].read_text())
+            return _module_aliases(inner).get(node.attr)
+        return None
+
+    found = []
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "setattr" and isinstance(node.func.value, ast.Name)
+                and node.func.value.id == "monkeypatch" and len(node.args) >= 2
+                and isinstance(node.args[1], ast.Constant)):
+            target, name = module(node.args[0]), node.args[1].value
+            if target and name not in reads[target]:
+                found.append(f"{label}:{node.lineno} {target}.{name}")
+    return found
+
+
+def test_scan_finds_a_patch_with_no_effect():
+    source = ("from onegenus import cli as climod, record, sieve\n"
+              "def test(monkeypatch):\n"
+              "    monkeypatch.setattr(sieve, '_CSV_BLOCK', 7)\n"
+              "    monkeypatch.setattr(record, '_CSV_BLOCK', 7)\n"
+              "    monkeypatch.setattr(sieve.os, 'replace', None)\n"
+              "    monkeypatch.setattr(sieve, 'count_valid', None)\n"
+              "    monkeypatch.setattr(climod.sieve, 'run_sieve', None)\n"
+              "    monkeypatch.setattr(climod, 'SieveOutcome', None)\n")
+    assert unread_patches(source, "probe.py", _src_reads()) == [
+        "probe.py:3 onegenus.sieve._CSV_BLOCK", "probe.py:8 onegenus.cli.SieveOutcome"]
+
+
+def test_every_module_patch_takes_effect():
+    reads = _src_reads()
+    found = [hit for p in FILES if p.is_relative_to(ROOT / "tests")
+             for hit in unread_patches(p.read_text(), str(p.relative_to(ROOT)), reads)]
+    assert found == []
 
 
 def test_package_all_resolves():

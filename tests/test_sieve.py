@@ -19,7 +19,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from onegenus import sieve
+from onegenus import record, sieve
 from onegenus.arith import is_prime, primes_up_to
 from onegenus.errors import CheckpointMismatch, InternalCheckError
 from onegenus.forms import witness_form
@@ -526,8 +526,8 @@ class TestCheckpoint:
         assert resumed.completed
         _same_outcome(resumed, whole)
         csvs = [io.BytesIO(), io.BytesIO()]
-        sieve.write_survivor_csv(whole, csvs[0])
-        sieve.write_survivor_csv(resumed, csvs[1])
+        record.write_survivor_csv(whole, csvs[0])
+        record.write_survivor_csv(resumed, csvs[1])
         assert csvs[0].getvalue() == csvs[1].getvalue()
 
 
@@ -1095,7 +1095,7 @@ def _oracle_csv(outcome) -> bytes:
 
 def _csv_bytes(outcome) -> bytes:
     fh = io.BytesIO()
-    sieve.write_survivor_csv(outcome, fh)
+    record.write_survivor_csv(outcome, fh)
     return fh.getvalue()
 
 
@@ -1113,7 +1113,7 @@ class TestSurvivorCsv:
     def test_block_seams(self, monkeypatch, small_outcome, block):
         # 1099 pass-through values in blocks that split the runs of each width
         assert small_outcome.direct_count > 64 and small_outcome.stream
-        monkeypatch.setattr(sieve, "_CSV_BLOCK", block)
+        monkeypatch.setattr(record, "_CSV_BLOCK", block)
         assert _csv_bytes(small_outcome) == _oracle_csv(small_outcome)
 
     @pytest.mark.parametrize("limit, cutoff", [(2, 10**7), (0, 2200), (2, 3), (0, 1)],
