@@ -32,21 +32,24 @@
       for a wrapped word: the prime's tally gains popcount(t & ~w), and
       w |= t, with no branch;
    3. the words that still have a live bit, their a and w, join a pending
-      buffer of at most PENDING words, in order; when a segment's would not
-      fit, and once at the end of the call, the later primes run over it:
-      per prime, one branchless pass takes each a mod q, credits
-      popcount(u & ~w) to the prime's tally and sets w |= u, u the table
-      word, then the words still live are compacted in place, and the passes
-      stop once none are.  The survivors of the words left follow, in order.
-      A fully hit word credits nothing, so the tally does not depend on when
-      it is dropped, and the output is that of a walk word by word.
-   Each of the three steps comes in two versions that give the same tallies
-   and pending words.  The plain C one goes word by word: per segment, y0,
+      buffer of at most PENDING words, in order; before a segment whose
+      words might not fit, and once at the end of the call, the later
+      primes run over it: per prime, one branchless pass takes each a mod
+      q, credits popcount(u & ~w) to the prime's tally and sets w |= u, u
+      the table word, then the words still live are compacted in place, and
+      the passes stop once none are.  The survivors of the words left
+      follow, in order.  A fully hit word credits nothing, so the tally does
+      not depend on when it is dropped, and the output is that of a walk
+      word by word.
+   Two versions give the same tallies and pending words, each an outer_*
+   function for steps 1 to 3, which flushes by that one rule, and a later_*
+   one for the flush.  The plain C one goes word by word: per segment, y0,
    y1 and the row pointers in a loop over the primes; steps 1 and 2 fused,
    so that a word's w stays in a register through the first window, the row
-   chosen by a pointer select, crediting int64 tallies; the live words'
-   indices compacted, then copied to the pending buffer; a mod q by a
-   Barrett reduction.  The AVX-512 one (F, BW, VL and VPOPCNTDQ):
+   chosen by a pointer select, the credits kept in int64; each word's a and
+   w written at the pending buffer's end, which passes a live word only,
+   with no branch; a mod q by a Barrett reduction.  The AVX-512 one (F, BW,
+   VL and VPOPCNTDQ):
    - per segment, y0 and y1 of the FIRST_MAX primes in one u16 vector, from
      the outer and segment residues and the masked wrap fix, reduced by
      min(y, y - q), and the row pointers row base + (y*group + d)*4 in two
@@ -115,7 +118,6 @@ struct onegenus_stream {
     const int64_t *const *digit_lifts;
     const uint64_t *step;
     int64_t n_first;           /* the first window: primes[0..n_first), n_first <= FIRST_MAX */
-    const int64_t *first_q;
     const uint16_t *outer_res; /* n_first rows of n_outer */
     const uint16_t *wrap_fix;  /* q - (m mod q) */
     const uint32_t *const *rows; /* per first-window q: q rows of group words */
@@ -211,66 +213,35 @@ static int64_t later_plain(const struct onegenus_stream *st, struct pending *p, 
     return emit_survivors(st->m, p->a, p->h, n, out, n_out, capacity);
 }
 
-/* Steps 1 and 2 and the compaction over the len <= SUB words x + wheel[k]
-   mod m, word by word: its hit word stays in a register through the first
-   window, which a separate pass per prime would load and store each time,
-   and a wrapped word takes its rows by a pointer select.  rows[i] is the
-   i-th first-window prime's row y0 and rows[FIRST_MAX + i] its row y1, both
-   from the segment's first word; the rows past n_first are zeros, so that
-   the loop over FIRST_MAX primes unrolls.  Writes the hit words to w, the
-   indices of the live ones to live, adds to tally and valid, and returns
-   the number of live words.  */
-static int64_t first_window_plain(const struct onegenus_stream *st, uint64_t x,
-                                  const uint64_t *wheel, const uint32_t *const *rows,
-                                  int64_t len, uint32_t *w, int32_t *live, int64_t *tally,
-                                  int64_t *valid)
-{
-    const uint64_t m = st->m;
-    const int64_t n_first = st->n_first;
-    int64_t credit[FIRST_MAX] = {0}, v = 0, n = 0;
-    for (int64_t k = 0; k < len; k++) {
-        uint64_t a = x + wheel[k];
-        uint64_t wrapped = a >= m;
-        a -= m & -wrapped;
-        uint32_t vm = st->valid_masks[((a < st->lo_r) << 3) | ((a > st->hi_r) << 2) | (a & 3)];
-        v += __builtin_popcount(vm);
-        uint32_t h = ~vm;
-        if (h != ALL_HIT) {
-            const uint32_t *const *r = rows + (FIRST_MAX & -(int64_t)wrapped);
-            for (int i = 0; i < FIRST_MAX; i++) {
-                uint32_t t = r[i][k];
-                credit[i] += __builtin_popcount(t & ~h);
-                h |= t;
-            }
-        }
-        w[k] = h;
-        live[n] = (int32_t)k;
-        n += h != ALL_HIT;
-    }
-    *valid += v;
-    for (int64_t i = 0; i < n_first; i++)
-        tally[i] += credit[i];
-    return n;
-}
-
+/* Steps 1 to 3 over the segments, word by word: a word's hit word stays in
+   a register through the first window, and a wrapped word takes its rows by
+   a pointer select.  rows[i] is the i-th first-window prime's row y0 and
+   rows[FIRST_MAX + i] its row y1, from the segment's first word; the rows
+   past n_first are zeros, so that the loop over FIRST_MAX primes unrolls.  */
 static int64_t outer_plain(const struct onegenus_stream *st, int64_t o, const struct segment *seg,
                            int64_t n_seg, struct pending *p, int64_t *tally, int64_t *valid,
                            uint64_t *out, int64_t n_out, int64_t capacity)
 {
-    const uint64_t m = st->m, ob = (uint64_t)st->outer_base[o];
+    /* lo_r and hi_r in locals: a store of a pending word could alias them */
+    const uint64_t m = st->m, ob = (uint64_t)st->outer_base[o], lo_r = st->lo_r, hi_r = st->hi_r;
     const int64_t n_first = st->n_first, group = st->group;
     const uint32_t *rows[2 * FIRST_MAX]; /* y0 then y1 rows, FIRST_MAX of each */
     for (int i = 0; i < 2 * FIRST_MAX; i++)
         rows[i] = zero_row;
-    uint32_t w[SUB];
-    int32_t live[SUB];
+    int64_t credit[FIRST_MAX] = {0}, v = 0;
     for (int64_t t = 0; t < n_seg; t++) {
+        const int64_t len = seg[t].len;
+        if (p->n + len > PENDING) {
+            n_out = later_plain(st, p, tally, out, n_out, capacity);
+            if (n_out < 0)
+                return n_out;
+        }
         uint64_t x = ob + seg[t].hi;
         uint64_t wrapped = x >= m;
         x -= m & -wrapped;
         for (int64_t i = 0; i < n_first; i++) {
             /* y0 = x mod q below 3q, then y1 = (x - m) mod q */
-            uint32_t q = (uint32_t)st->first_q[i], fix = st->wrap_fix[i];
+            uint32_t q = (uint32_t)st->primes[i], fix = st->wrap_fix[i];
             uint32_t y0 = (uint32_t)st->outer_res[i * st->n_outer + o] + seg[t].res[i]
                         + (fix & -(uint32_t)wrapped);
             y0 -= y0 >= q ? q : 0;
@@ -281,18 +252,31 @@ static int64_t outer_plain(const struct onegenus_stream *st, int64_t o, const st
             rows[FIRST_MAX + i] = st->rows[i] + (size_t)y1 * (size_t)group + seg[t].d;
         }
         const uint64_t *wheel = st->wheel + seg[t].d;
-        int64_t n_live = first_window_plain(st, x, wheel, rows, seg[t].len, w, live, tally, valid);
-        if (p->n + n_live > PENDING) {
-            n_out = later_plain(st, p, tally, out, n_out, capacity);
-            if (n_out < 0)
-                return n_out;
+        int64_t n = p->n;
+        for (int64_t k = 0; k < len; k++) {
+            uint64_t a = x + wheel[k];
+            uint64_t wrap = a >= m;
+            a -= m & -wrap;
+            uint32_t vm = st->valid_masks[((a < lo_r) << 3) | ((a > hi_r) << 2) | (a & 3)];
+            v += __builtin_popcount(vm);
+            uint32_t h = ~vm;
+            if (h != ALL_HIT) {
+                const uint32_t *const *r = rows + (FIRST_MAX & -(int64_t)wrap);
+                for (int i = 0; i < FIRST_MAX; i++) {
+                    uint32_t u = r[i][k];
+                    credit[i] += __builtin_popcount(u & ~h);
+                    h |= u;
+                }
+            }
+            p->a[n] = a;
+            p->h[n] = h;
+            n += h != ALL_HIT;
         }
-        for (int64_t j = 0; j < n_live; j++) {
-            uint64_t a = x + wheel[live[j]];
-            p->a[p->n] = a - (m & -(uint64_t)(a >= m));
-            p->h[p->n++] = w[live[j]];
-        }
+        p->n = n;
     }
+    *valid += v;
+    for (int64_t i = 0; i < n_first; i++)
+        tally[i] += credit[i];
     return n_out;
 }
 
@@ -376,7 +360,7 @@ AVX512 static int64_t outer_avx512(const struct onegenus_stream *st, int64_t o,
     uint16_t outer[FIRST_MAX] = {0};
     for (int64_t i = 0; i < st->n_first; i++)
         outer[i] = st->outer_res[i * st->n_outer + o];
-    const __m128i q = _mm512_cvtepi64_epi16(_mm512_maskz_loadu_epi64(first, st->first_q));
+    const __m128i q = _mm512_cvtepi64_epi16(_mm512_maskz_loadu_epi64(first, st->primes));
     const __m128i fix = _mm_maskz_loadu_epi16(first, st->wrap_fix);
     const __m128i outer_res = _mm_loadu_si128((const __m128i *)outer);
     const __m512i row_base = _mm512_maskz_loadu_epi64(first, st->rows);
@@ -502,7 +486,7 @@ static int64_t block_segments(const struct onegenus_stream *st, int64_t s, int64
         seg[n].len = run < SUB ? run : SUB;
         for (int64_t i = 0; i < FIRST_MAX; i++)
             seg[n].res[i] = i < st->n_first
-                ? (uint16_t)mod_barrett(hi, (uint64_t)st->first_q[i], st->mu[i]) : 0;
+                ? (uint16_t)mod_barrett(hi, (uint64_t)st->primes[i], st->mu[i]) : 0;
         k += seg[n].len;
         d += seg[n].len;
         if (d < group)

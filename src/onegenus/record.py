@@ -40,12 +40,16 @@ class SieveOutcome:
     tested_count: int
     per_prime_tally: dict[int, int]  # the P1/P2 primes ascending, then the sieve primes
     config: SieveConfig
-    completed: bool = True
+    n_outer: int = 0           # the stream's outer indices: [0, n_outer) is whole; 0 without one
     words_processed: int = 0
     stream_valid: int = 0
     kernel: str | None = None  # the stream kernel that ran, "c" or "numpy"; None without a stream
     simd: str | None = None    # the compiled kernel's SIMD path, "avx512" or "none"; else None
     outer_index: int = 0       # the stream has covered the outer indices [0, outer_index)
+
+    @property
+    def completed(self) -> bool:
+        return self.outer_index == self.n_outer
 
     @property
     def direct_count(self) -> int:
@@ -80,9 +84,12 @@ class SieveOutcome:
             self.per_prime_tally[q] += count
 
     def check(self) -> None:
-        """From the record alone: InternalCheckError unless the stream found valid
-        every candidate the P1/P2 primes leave, each candidate survived or was
-        eliminated, and tested_count is count_valid(limit)."""
+        """From the record alone: InternalCheckError unless the stream is whole,
+        found valid every candidate the P1/P2 primes leave, each candidate
+        survived or was eliminated, and tested_count is count_valid(limit)."""
+        if not self.completed:
+            raise InternalCheckError(f"partial record: the stream covered outer indices "
+                                     f"[0, {self.outer_index}) of [0, {self.n_outer})")
         tested, eliminated, limit = self.tested_count, self.eliminated_count, self.config.limit
         p_stage = self.config.p1_primes + self.config.p2_primes
         alive = tested - self.direct_count - sum(self.per_prime_tally[p] for p in p_stage)

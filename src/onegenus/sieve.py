@@ -362,8 +362,7 @@ def _load_kernel(path: str) -> _Kernel:
                     ("outer_base", ptr), ("n_outer", i64), ("group", i64), ("wheel", ptr),
                     ("n_digits", i64), ("digit_counts", ptr), ("digit_lifts", ptr),
                     ("step", ptr),
-                    ("n_first", i64), ("first_q", ptr), ("outer_res", ptr),
-                    ("wrap_fix", ptr), ("rows", ptr),
+                    ("n_first", i64), ("outer_res", ptr), ("wrap_fix", ptr), ("rows", ptr),
                     ("n_primes", i64), ("primes", ptr), ("mu", ptr), ("tables", ptr)]
 
     span = lib.onegenus_sieve_span
@@ -459,7 +458,8 @@ class _Runner:
         # their residues from the split a = outer + inner - m*wrap, where
         # wrap = (outer + inner >= m): (outer mod q) + (inner mod q) is below
         # 2q, and adding q - (m mod q) for a wrapped word keeps it below 3q.
-        # That sum, a uint16, indexes the table repeated three times.
+        # That sum, a uint16, indexes the table repeated three times.  The
+        # primes ascend, so the window is self.primes[:len(first)] for both kernels.
         first = [q for q in self.primes[:_FIRST_MAX] if 3 * q <= 0xFFFF]
         self.first_q = np.array(first, dtype=np.int64)[:, None]
         self.outer_res = (self.outer_base % self.first_q).astype(np.uint16)
@@ -522,8 +522,8 @@ class _Runner:
                 m, self.lo_r, self.hi_r, self.valid_masks.ctypes.data,
                 self.outer_base.ctypes.data, self.n_outer, wheel.size, wheel.ctypes.data,
                 counts.size, counts.ctypes.data, lifts.ctypes.data, step.ctypes.data,
-                len(first), self.first_q.ctypes.data, self.outer_res.ctypes.data,
-                self.wrap_fix.ctypes.data, rows_ptr.ctypes.data,
+                len(first), self.outer_res.ctypes.data, self.wrap_fix.ctypes.data,
+                rows_ptr.ctypes.data,
                 primes.size, primes.ctypes.data, mu.ctypes.data, tables.ctypes.data,
             )
             self._tables_ptr = ctypes.addressof(self._tables)
@@ -711,8 +711,9 @@ def run_sieve(
     chunk this call runs, so a crash at any instant loses at most _SAVE_WORDS
     words of work; the stream is sorted after the last save.  max_chunks
     stops after that many chunks (at least 1, and only with a
-    checkpoint_path, else ValueError); the partial outcome is flagged
-    completed=False and is not checked.
+    checkpoint_path, else ValueError); the partial outcome, whose
+    outer_index falls short of n_outer, reads completed False and is not
+    checked.
     """
     if config.limit >= config.coverage:
         raise ValueError(
@@ -729,6 +730,7 @@ def run_sieve(
     chunks = _chunk_spans(runner.n_outer, runner.n_inner) if runner else []
     outcome = SieveOutcome(direct, [], int(direct.size) + valid_total,
                            {**p_tallies, **dict.fromkeys(config.sieve_primes, 0)}, config,
+                           n_outer=runner.n_outer if runner else 0,
                            kernel=runner.kernel if runner else None,
                            simd=runner.simd if runner else None)
     if resume:
@@ -762,8 +764,6 @@ def run_sieve(
                     file=sys.stderr,
                 )
     outcome.stream.sort()
-    outcome.completed = len(todo) == len(pending)
-
     if outcome.completed:
         outcome.check()
     return outcome

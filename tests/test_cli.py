@@ -212,7 +212,7 @@ class TestIntegerOptions:
 
         def stop(config, **kwargs):
             seen.append(config)
-            return SieveOutcome(np.empty(0, dtype=np.int64), [], 0, {}, config, completed=False)
+            return SieveOutcome(np.empty(0, dtype=np.int64), [], 0, {}, config, n_outer=1)
 
         monkeypatch.setattr(climod.sieve, "run_sieve", stop)
         assert climod.main(["sieve", "--limit", "1.2345678901234567e18"]) == 0
@@ -479,7 +479,7 @@ class TestSieveCli:
 
         def stop(config, workers, **kwargs):
             seen.append(workers)
-            return SieveOutcome(np.empty(0, dtype=np.int64), [], 0, {}, config, completed=False)
+            return SieveOutcome(np.empty(0, dtype=np.int64), [], 0, {}, config, n_outer=1)
 
         monkeypatch.setattr(climod.sieve, "run_sieve", stop)
         monkeypatch.setenv(climod.THREADS_ENV, "3")

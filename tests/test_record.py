@@ -19,11 +19,14 @@ WIDE = SieveConfig(p1_primes=(3, 5, 7, 11), p2_primes=(13, 17, 19), sieve_primes
 
 def _empty(config: SieveConfig) -> SieveOutcome:
     """The record run_sieve starts from: the pass-through values, the P1/P2
-    tallies of the closed-form count and no stream yet."""
+    tallies of the closed-form count, the stream's outer count and no stream
+    yet."""
     direct = sieve._direct_values(config)
     valid, _, p_tallies = sieve._pstage_count(config)
+    n_outer = len(sieve.survivors_mod(config.p1_primes)) if config.limit >= config.small_cutoff else 0
     return SieveOutcome(direct, [], direct.size + valid,
-                        {**p_tallies, **dict.fromkeys(config.sieve_primes, 0)}, config)
+                        {**p_tallies, **dict.fromkeys(config.sieve_primes, 0)}, config,
+                        n_outer=n_outer)
 
 
 def _whole(config: SieveConfig) -> SieveOutcome:
@@ -33,7 +36,8 @@ def _whole(config: SieveConfig) -> SieveOutcome:
     out = _empty(config)
     alive = sieve._pstage_count(config)[1]
     stream = [config.limit - 2, config.limit - 1, config.limit][:min(3, alive)]
-    out.fold(7, stream, [alive - len(stream)] + [0] * (len(config.sieve_primes) - 1), alive, 99)
+    tally = [alive - len(stream)] + [0] * (len(config.sieve_primes) - 1)
+    out.fold(out.n_outer, stream, tally, alive, 99)
     return out
 
 
@@ -85,6 +89,17 @@ class TestCheck:
         assert str(info.value) == message
 
 
+    def test_partial_record_is_named(self):
+        # a record stopped short of its last outer index fails as partial,
+        # before any count is compared
+        out = _empty(CONFIG)
+        out.fold(4, [], [0] * len(CONFIG.sieve_primes), 1, 99)
+        assert not out.completed
+        with pytest.raises(InternalCheckError) as info:
+            out.check()
+        assert str(info.value) == "partial record: the stream covered outer indices [0, 4) of [0, 6)"
+
+
 class TestCheckAfterResume:
     """A record folded from a checkpoint file is checked as the run's own is."""
 
@@ -93,7 +108,7 @@ class TestCheckAfterResume:
         saved = _whole(CONFIG)
         saved.save(path)
         resumed = _empty(CONFIG)
-        resumed.resume(path, [7])
+        resumed.resume(path, [6])
         assert resumed.manifest() == saved.manifest()
         resumed.check()
 
@@ -109,6 +124,6 @@ class TestCheckAfterResume:
             data[key] += 1
         path.write_text(json.dumps(data))
         resumed = _empty(CONFIG)
-        resumed.resume(str(path), [7])
+        resumed.resume(str(path), [6])
         with pytest.raises(InternalCheckError, match=message):
             resumed.check()

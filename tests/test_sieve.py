@@ -512,6 +512,15 @@ class TestCheckpoint:
         for out in (partial, whole):
             assert out.eliminated_count == sum(out.per_prime_tally.values())
 
+    def test_partial_run_fails_its_check_as_partial(self, tmp_path):
+        # the record knows its stream's outer count, so a stopped run is
+        # named partial rather than miscounted
+        partial = run_sieve(SieveConfig(**PIPELINE), checkpoint_path=str(tmp_path / "ck.json"),
+                            max_chunks=5)
+        assert (partial.outer_index, partial.n_outer) == (5, 24)
+        with pytest.raises(InternalCheckError, match=r"partial record: .* \[0, 5\) of \[0, 24\)"):
+            partial.check()
+
     def test_resume_from_a_finished_run_runs_no_chunk(self, monkeypatch, tmp_path):
         config = SieveConfig(**PIPELINE)
         ck = str(tmp_path / "ck.json")
@@ -931,6 +940,12 @@ DENSE = dict(CRITERION8,
              limit=32 * math.prod(CRITERION8["p1_primes"]) * math.prod(CRITERION8["p2_primes"]))
 
 
+# sieve primes all above 0xFFFF / 3, so no first window, and a limit at
+# which every word has valid bits
+EMPTY_FIRST = dict(p2_primes=(23, 29), sieve_primes=(21851, 21859, 21863), limit=10**11,
+                   small_cutoff=4 * 21863**2 + 1)
+
+
 def _kernel_define(name: str) -> int:
     source = resources.files("onegenus").joinpath("_stream.c").read_text()
     return int(re.search(rf"#define {name} (\d+)", source).group(1))
@@ -960,8 +975,9 @@ def _live_words(config: SieveConfig, lo: int, hi: int, inner=None, first=None) -
 class TestPendingBuffer:
     """The compiled kernel holds the live words of its segments in a pending
     buffer of PENDING words, and runs the later primes over it, one pass per
-    prime, when the next segment's would not fit and once at the end of the
-    call.  Both compiled builds against the numpy kernel across those seams."""
+    prime, before a segment whose words might not fit and once at the end of
+    the call.  Both compiled builds against the numpy kernel across those
+    seams."""
 
     @pytest.mark.parametrize("block", [127, None], ids=["block-127", "default"])
     def test_dense_span_fills_the_buffer(self, monkeypatch, compiled_kernels, block):
@@ -1001,6 +1017,17 @@ class TestPendingBuffer:
         expect = runner._process_range_numpy(n - 1, n, (0, 1 << 17))
         assert outs[0][3] == 1 << 17 and sum(outs[0][1][8:]) > 0
         assert all(out == (expect[0], expect[1].tolist(), *expect[2:]) for out in outs)
+
+    def test_empty_first_window_flushes_by_whole_segments(self, monkeypatch, compiled_kernels):
+        # sieve primes above 0xFFFF / 3 leave the first window empty, so
+        # every valid word is live and the buffer fills by whole segments of
+        # 180 words, the tightest case of the flush before a segment: more
+        # than 4*PENDING live words in one call
+        config = SieveConfig(**EMPTY_FIRST)
+        assert len(sieve._Runner(config).first_q) == 0
+        assert _live_words(config, 0, 120) > 4 * _pending_words()
+        out = TestWheelGroups._check(monkeypatch, compiled_kernels, config, 0, 120, None, 180)
+        assert out[0] and all(out[1] > 0)
 
     def test_survivor_overflow_after_the_first_flush(self, monkeypatch, compiled_kernels):
         # one later prime leaves many survivors; the survivor buffer holds
@@ -1144,6 +1171,23 @@ class TestSurvivorCsv:
         assert _csv_bytes(out) == _oracle_csv(out)
 
 
+# The child of test_sanitized_build_matches_numpy: the kernel built at
+# argv[1] against numpy on each (config, lo, hi, inner) of the JSON argv[2].
+_SANITIZED_RUN = """
+import json, sys
+from onegenus import sieve
+kernel = sieve._load_kernel(sys.argv[1])
+sieve._stream_kernel = lambda: kernel
+for params, lo, hi, inner in json.loads(sys.argv[2]):
+    runner = sieve._Runner(sieve.SieveConfig(**params))
+    assert runner.kernel == "c"
+    got = runner.process_range(lo, hi, inner)
+    expect = runner._process_range_numpy(lo, hi, inner)
+    assert got[0] == expect[0] and got[1].tolist() == expect[1].tolist(), (lo, hi, inner)
+    assert got[2:] == expect[2:], (lo, hi, inner)
+"""
+
+
 class TestStreamKernel:
     """The compiled stream kernel against the numpy one, and the fallback to it."""
 
@@ -1224,6 +1268,37 @@ class TestStreamKernel:
                                "-shared", "-fPIC", "-x", "c", "-", "-o", str(tmp_path / "stream.so")],
                               input=source, capture_output=True)
         assert proc.returncode == 0, proc.stderr.decode()
+
+    @pytest.mark.parametrize("defines", [[], ["-DONEGENUS_NO_SIMD"]], ids=["package", "no-simd"])
+    def test_sanitized_build_matches_numpy(self, tmp_path, defines):
+        # the package's flags, then -O1 with ASan and UBSan, in a child that
+        # preloads the ASan runtime: the paper-scale tile of TestPendingBuffer
+        # and a dense span against numpy.  ASan sees only the h side of the
+        # pending buffer, which ends the kernel's one allocation; a write
+        # past the a side lands in the tally inside it, which the comparison
+        # with numpy catches
+        if shutil.which("cc") is None:
+            pytest.skip("no cc on PATH")
+        asan = subprocess.run(["cc", "-print-file-name=libasan.so"], capture_output=True,
+                              text=True).stdout.strip()
+        if not os.path.isabs(asan):
+            pytest.skip("no libasan for cc")
+        source = resources.files("onegenus").joinpath("_stream.c").read_bytes()
+        path = tmp_path / "stream-asan.so"
+        proc = subprocess.run(["cc", *sieve._kernel_flags(), "-O1", "-g",
+                               "-fsanitize=address,undefined", "-fno-omit-frame-pointer", *defines,
+                               "-shared", "-fPIC", "-x", "c", "-", "-o", str(path)],
+                              input=source, capture_output=True)
+        assert proc.returncode == 0, proc.stderr.decode()
+        n = len(survivors_mod(sieve.DEFAULT_P1))
+        spans = [({"limit": 98 * 10**17}, n - 1, n, (0, 1 << 17)), (DENSE, 0, 120, None)]
+        env = dict(os.environ, LD_PRELOAD=asan, ASAN_OPTIONS="detect_leaks=0",
+                   UBSAN_OPTIONS="halt_on_error=1:print_stacktrace=1",
+                   PYTHONPATH=os.pathsep.join([str(Path(sieve.__file__).parents[1]),
+                                               os.environ.get("PYTHONPATH", "")]))
+        proc = subprocess.run([sys.executable, "-c", _SANITIZED_RUN, str(path), json.dumps(spans)],
+                              env=env, capture_output=True, text=True, timeout=600)
+        assert proc.returncode == 0 and "runtime error" not in proc.stderr, proc.stderr[-4000:]
 
     @pytest.mark.parametrize("failure", ["no-compiler", "unwritable-cache", "corrupt-so"])
     def test_falls_back_to_numpy(self, monkeypatch, tmp_path, failure):
